@@ -247,6 +247,9 @@ Tensor<std::int32_t> interpreter_forward(const ApnnNetwork& net,
       case LayerKind::kSoftmax:
         vals[li] = in;
         break;
+      case LayerKind::kAttention:
+        APNN_CHECK(false) << "the per-call baseline walks conv models only";
+        break;
     }
   }
   APNN_CHECK(logits.numel() > 0) << "network has no linear head";

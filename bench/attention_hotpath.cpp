@@ -11,12 +11,12 @@
 // and each stage decodes back to dense before the next one repacks it.
 // The session compiles the same arithmetic once per bucket: packed-operand
 // chaining between stages, word-granular packed transpose for V, slab-owned
-// buffers with zero steady-state allocation, and one plan lookup per run.
+// buffers with no steady-state growth, and one plan lookup per run.
 //
 // Gates (tools/check_bench.py):
 //   * bit_exact — hand-built, compiled, and the dense integer reference
 //     agree on every bucket, and the slab's backing capacity is unchanged
-//     by a second pass over all buckets (steady state allocates nothing);
+//     by a second pass over all buckets (no steady-state slab growth);
 //     any violation is a hard failure regardless of speed.
 //   * speedup / speedup_seq* — compiled-vs-hand-built ratios per bucket
 //     extreme and aggregate, gated against the checked-in baseline.
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
 
   // Correctness gate across every bucket: reference == hand-built ==
   // compiled, and a second full pass over the plan family must not grow the
-  // slab (steady state allocates nothing).
+  // slab (no steady-state slab growth).
   std::vector<Tensor<std::int32_t>> inputs;
   for (const std::int64_t seq : spec.seq_buckets) {
     Tensor<std::int32_t> in({1, seq, 1, spec.input.c});

@@ -14,7 +14,7 @@
 //   2. The compiled path: nn::tiny_transformer lowered by an
 //      InferenceSession into a dynamic-shape plan family (one plan per
 //      sequence bucket), serving token batches of any length in
-//      [1, max bucket] with zero steady-state allocations — checked
+//      [1, max bucket] with no steady-state slab growth — checked
 //      bit-exact against ApnnNetwork::forward_reference per bucket.
 //
 //   build/examples/nlp_attention

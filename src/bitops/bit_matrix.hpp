@@ -36,7 +36,7 @@ class BitMatrix {
 
   /// Reshapes in place to an R x C matrix, reusing the existing heap buffer
   /// whenever its capacity suffices (the session slab relies on this for
-  /// zero steady-state allocations). With `zero_fill` (the default) every
+  /// zero steady-state growth). With `zero_fill` (the default) every
   /// word is cleared — required by OR-merge writers and the padding
   /// invariant. Writers that overwrite every word of every padded row
   /// (e.g. the session's word-wise packers) pass false to skip the extra

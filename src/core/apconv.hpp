@@ -54,8 +54,8 @@ struct ApconvOptions {
 
   /// Caller-provided output storage (e.g. an InferenceSession slab slot):
   /// when set, the corresponding result is written here — the buffer is
-  /// reshaped in place, reusing its capacity, so steady-state reuse performs
-  /// zero heap allocations — and the matching ApconvResult field stays
+  /// reshaped in place, reusing its capacity, so steady-state reuse
+  /// allocates no output storage — and the matching ApconvResult field stays
   /// empty. y_out receives the dense post-pool NHWC output (non-quantizing
   /// epilogue); packed_out the channel-major planes of a quantizing one.
   Tensor<std::int32_t>* y_out = nullptr;

@@ -76,8 +76,9 @@ struct ApmmOptions {
 
   /// Caller-provided output storage (e.g. an InferenceSession slab slot):
   /// when set, the corresponding result is written here — the buffer is
-  /// reshaped in place, reusing its capacity, so steady-state reuse performs
-  /// zero heap allocations — and the matching ApmmResult field stays empty.
+  /// reshaped in place, reusing its capacity, so steady-state reuse
+  /// allocates no output storage — and the matching ApmmResult field stays
+  /// empty.
   /// y_out receives the M x N int32 output (identity/non-quantizing
   /// epilogue); packed_out receives the N x M planes of a quantizing one.
   Tensor<std::int32_t>* y_out = nullptr;

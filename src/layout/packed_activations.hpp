@@ -41,7 +41,7 @@ struct PackedActivations {
   }
 
   /// Reshapes in place, reusing existing plane storage whenever capacity
-  /// suffices (zero steady-state allocations in the session slab). The
+  /// suffices (zero steady-state growth of the session slab). The
   /// planes vector never shrinks — planes beyond `bits` keep their buffers
   /// for a future wider occupant. `zero_fill` as in BitMatrix::reset_shape:
   /// pass false only when every padded word will be overwritten.

@@ -72,7 +72,7 @@ class Tensor {
 
   /// Reshapes in place to an arbitrary new shape, reusing the existing heap
   /// buffers (data and shape vector) whenever capacity suffices — the
-  /// session slab relies on this for zero steady-state allocations. Element
+  /// session slab relies on this for zero steady-state growth. Element
   /// values are unspecified afterwards unless the element count is
   /// unchanged.
   void reset_shape(std::initializer_list<std::int64_t> shape) {

@@ -12,7 +12,10 @@
 //  * buffer-lifetime analysis — every intermediate value gets a slot in a
 //    reusable parallel::ActivationSlab (liveness-based slot reuse), and the
 //    apconv/apmm kernels write straight into the slab (y_out / packed_out),
-//    so steady-state forward passes perform zero heap allocations;
+//    so steady-state forward passes grow no slab and perform a flat
+//    per-run allocation count (the std::function built at each
+//    parallel_for call site and a few small per-kernel vectors — not
+//    buffer churn, and the same at every pool width);
 //  * pre-resolved glue ops — residual add, standalone ReLU / pool /
 //    quantize, packing and linear-operand assembly run as word-granular
 //    blocked kernels farmed over the thread pool, operating directly on the

@@ -78,11 +78,13 @@ void ScratchArena::reset() {
 
 ScratchArena& ScratchArena::tls() {
   // Keyed per (thread x pool identity), not per process-wide thread: a thread
-  // serving several pool slices (a work-stealing worker, or the global pool's
-  // caller later entering a slice) gets a distinct arena per slice, so a
-  // slice's slabs are touched only by the cores that consume its work. The
-  // key is opaque — compared, never dereferenced — so a dead pool's slot
-  // simply goes cold (bounded by the handful of pools a thread ever serves).
+  // serving several pool slices (a worker running a nested loop on another
+  // slice, or the global pool's caller later entering a slice) gets a
+  // distinct arena per slice, so a slice's slabs are touched only by the
+  // cores that consume its work (stolen chunks run under the thief's own
+  // key). The key is opaque — compared, never dereferenced — so a dead
+  // pool's slot simply goes cold (bounded by the handful of pools a thread
+  // ever serves).
   struct Slot {
     const void* key;
     std::unique_ptr<ScratchArena> arena;
@@ -92,8 +94,12 @@ ScratchArena& ScratchArena::tls() {
   for (Slot& s : slots) {
     if (s.key == key) return *s.arena;
   }
+  // A new slot comes with its first chunk, so the whole first-touch cost is
+  // paid here — at worker start for pool workers (see worker_loop).
   slots.push_back(Slot{key, std::make_unique<ScratchArena>()});
-  return *slots.back().arena;
+  ScratchArena& arena = *slots.back().arena;
+  arena.add_chunk(kInitialChunkBytes);
+  return arena;
 }
 
 }  // namespace apnn::parallel

@@ -7,7 +7,8 @@
 // dominated the seed hot path. A ScratchArena is a bump allocator that each
 // worker thread owns: allocations are pointer bumps, reset() recycles the
 // whole arena between blocks, and the backing buffer grows to the high-water
-// mark once and is then reused forever — zero heap traffic in steady state.
+// mark once per thread and is then reused forever — zero heap traffic once
+// every thread has run the largest block it will see.
 #pragma once
 
 #include <cstddef>
@@ -58,9 +59,15 @@ class ScratchArena {
   /// the steady-state-zero-allocation tests watch this counter.
   std::int64_t heap_alloc_count() const { return heap_allocs_; }
 
-  /// The calling thread's private arena (thread_local, lazily built). Worker
-  /// threads of the global ThreadPool live for the whole process, so their
-  /// arenas reach steady state after the first pass over a given shape.
+  /// The calling thread's private arena, keyed per (thread x pool) and built
+  /// with its first 64 KiB chunk on the first call for that key. A pool
+  /// worker makes that call at thread start, before the ThreadPool
+  /// constructor returns, so its arena exists before any loop runs; any
+  /// other thread (a loop's caller) builds its arena on first use. Growth
+  /// past the first chunk is still first-touch per thread: a block that
+  /// needs more grows the arena of whichever thread first runs it, so a
+  /// thread reaches steady state only once it has run the largest block it
+  /// will see.
   static ScratchArena& tls();
 
  private:

@@ -8,7 +8,7 @@
 // resizable buffer per value representation — a dense int32 tensor, packed
 // channel-major activations, and transposed feature bit planes — all of
 // which reshape in place and grow to their high-water capacity once, so
-// steady-state forward passes perform zero heap allocations.
+// steady-state forward passes allocate no activation storage.
 #pragma once
 
 #include <cstddef>

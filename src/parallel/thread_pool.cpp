@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 
 #include "src/common/check.hpp"
+#include "src/parallel/scratch.hpp"
 
 #ifdef __linux__
 #include <pthread.h>
@@ -28,11 +28,19 @@ struct CurrentPoolScope {
   const ThreadPool* saved;
 };
 
-/// Everything a queued chunk task needs, owned jointly by the caller and
-/// every helper via shared_ptr — a helper dequeued (or stolen) after
-/// parallel_for returned touches only this block, never the caller's frame.
-struct LoopShared {
-  std::function<void(std::int64_t)> fn;
+/// Ring entries a pool starts with; more than any single loop's helpers on
+/// common widths, so growth is rare and happens once.
+constexpr std::size_t kInitialRing = 64;
+
+}  // namespace
+
+/// One parallel_for's state. It lives in the caller's frame and points at the
+/// caller's body instead of copying it: the caller returns only once every
+/// helper it queued has been erased from the queue or has exited
+/// (`outstanding` == 0), so no helper — dequeued, stolen or stale — can
+/// outlive the frame.
+struct ThreadPool::Loop {
+  const std::function<void(std::int64_t)>* fn = nullptr;
   std::int64_t begin = 0;
   std::int64_t end = 0;
   std::int64_t grain = 1;
@@ -41,38 +49,54 @@ struct LoopShared {
   std::atomic<std::int64_t> done{0};
   std::atomic<bool> failed{false};
   std::exception_ptr error;
-  std::mutex mu;  // guards error; completion waiters sleep on done_cv
-  std::condition_variable done_cv;
-};
+  std::mutex mu;  // guards error and outstanding; waiters sleep on cv
+  std::condition_variable cv;
+  std::int64_t outstanding = 0;  ///< queued helpers not yet erased or exited
 
-/// Drains the shared chunk counter. Safe to run on any thread at any time:
-/// once every chunk is claimed it returns without touching fn.
-void run_chunks(const std::shared_ptr<LoopShared>& s) {
-  for (;;) {
-    const std::int64_t c = s->next.fetch_add(1);
-    if (c >= s->nchunks) return;
-    const std::int64_t lo = s->begin + c * s->grain;
-    const std::int64_t hi = std::min<std::int64_t>(lo + s->grain, s->end);
-    if (!s->failed.load(std::memory_order_relaxed)) {
-      try {
-        for (std::int64_t i = lo; i < hi; ++i) s->fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(s->mu);
-        if (!s->failed.exchange(true)) {
-          s->error = std::current_exception();
+  bool all_done() const {
+    return done.load(std::memory_order_acquire) >= nchunks;
+  }
+
+  /// Drains the shared chunk counter. Once every chunk is claimed it returns
+  /// without touching fn.
+  void run_chunks() {
+    for (;;) {
+      const std::int64_t c = next.fetch_add(1);
+      if (c >= nchunks) return;
+      const std::int64_t lo = begin + c * grain;
+      const std::int64_t hi = std::min<std::int64_t>(lo + grain, end);
+      if (!failed.load(std::memory_order_relaxed)) {
+        try {
+          for (std::int64_t i = lo; i < hi; ++i) (*fn)(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (!failed.exchange(true)) error = std::current_exception();
         }
       }
-    }
-    if (s->done.fetch_add(1, std::memory_order_acq_rel) + 1 == s->nchunks) {
-      // Empty critical section orders the notify after a waiter's predicate
-      // check, closing the missed-wakeup window.
-      { std::lock_guard<std::mutex> lock(s->mu); }
-      s->done_cv.notify_all();
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == nchunks) {
+        // Notifying under the lock orders the wake after a waiter's
+        // predicate check, closing the missed-wakeup window.
+        std::lock_guard<std::mutex> lock(mu);
+        cv.notify_all();
+      }
     }
   }
-}
 
-}  // namespace
+  /// Takes `n` helpers out of the outstanding count. The notify happens
+  /// under the lock: the caller may destroy this loop as soon as it sees 0
+  /// and reacquires the mutex, so nothing here may touch it after unlock.
+  void release(std::int64_t n) {
+    std::lock_guard<std::mutex> lock(mu);
+    outstanding -= n;
+    if (outstanding == 0) cv.notify_all();
+  }
+
+  /// Body of a dequeued (or stolen) helper task.
+  void run_helper() {
+    run_chunks();
+    release(1);
+  }
+};
 
 int WorkStealGroup::pools() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -114,26 +138,25 @@ void WorkStealGroup::note_enqueued(std::int64_t n, ThreadPool* owner) {
 }
 
 bool WorkStealGroup::steal_and_run(ThreadPool* thief) {
-  ThreadPool::Task task;
-  bool have = false;
+  ThreadPool::Loop* loop = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (ThreadPool* p : members_) {
       if (p == thief) continue;
       std::lock_guard<std::mutex> plock(p->mu_);
-      if (p->queue_.empty()) continue;
-      task = std::move(p->queue_.front());
-      p->queue_.pop_front();
-      have = true;
+      if (p->count_ == 0) continue;
+      loop = p->dequeue_locked();
       break;
     }
-    if (have) {
+    if (loop != nullptr) {
       pending_.fetch_sub(1, std::memory_order_acq_rel);
       steals_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (!have) return false;
-  task.fn();  // outside all locks; the task owns its state via LoopShared
+  if (loop == nullptr) return false;
+  // Outside all locks. The owning caller waits for this helper to exit
+  // before its frame (and the loop in it) goes away.
+  loop->run_helper();
   return true;
 }
 
@@ -163,10 +186,15 @@ void ThreadPool::start(unsigned num_threads) {
   }
   // The caller participates in parallel_for, so spawn one fewer worker.
   const unsigned spawned = num_threads > 1 ? num_threads - 1 : 0;
+  ring_.resize(kInitialRing);
   workers_.reserve(spawned);
   for (unsigned i = 0; i < spawned; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
+  // Return only once every worker has built its per-thread state, so none
+  // of that first-touch work lands inside a caller's later loop.
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return started_ == spawned; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -181,15 +209,49 @@ ThreadPool::~ThreadPool() {
     // leftover tasks (there should be none — loops erase their own stale
     // helpers) are counted out of the group's pending total.
     group_->remove(this);
-    if (!queue_.empty()) {
-      group_->note_dequeued(static_cast<std::int64_t>(queue_.size()));
+    if (count_ > 0) {
+      group_->note_dequeued(static_cast<std::int64_t>(count_));
     }
   }
 }
 
 std::size_t ThreadPool::queued_tasks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+  return count_;
+}
+
+void ThreadPool::enqueue_locked(Loop* loop, std::size_t n) {
+  if (count_ + n > ring_.size()) {
+    // Full: grow (never shrink), unrolling the live window to start at 0.
+    std::vector<Loop*> grown(std::max(2 * ring_.size(), count_ + n));
+    for (std::size_t i = 0; i < count_; ++i) {
+      grown[i] = ring_[(head_ + i) % ring_.size()];
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ring_[(head_ + count_++) % ring_.size()] = loop;
+  }
+}
+
+ThreadPool::Loop* ThreadPool::dequeue_locked() {
+  Loop* loop = ring_[head_];
+  head_ = (head_ + 1) % ring_.size();
+  --count_;
+  return loop;
+}
+
+std::size_t ThreadPool::erase_locked(const Loop* loop) {
+  // Stable in-place compaction of the live window.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < count_; ++i) {
+    Loop* t = ring_[(head_ + i) % ring_.size()];
+    if (t != loop) ring_[(head_ + kept++) % ring_.size()] = t;
+  }
+  const std::size_t removed = count_ - kept;
+  count_ = kept;
+  return removed;
 }
 
 const void* ThreadPool::current_key() { return tls_current_pool; }
@@ -212,25 +274,28 @@ void ThreadPool::worker_loop(unsigned index) {
     pin_current_thread(cpus_[index + 1]);  // best-effort
   }
   CurrentPoolScope scope(this);
+  // Build this worker's scratch arena (and its first chunk) before start()
+  // returns, so no kernel block — in whichever later run — pays for it.
+  parallel::ScratchArena::tls();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++started_;
+  }
+  cv_.notify_all();
   for (;;) {
-    Task task;
-    bool have = false;
+    Loop* loop = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] {
-        return stop_ || !queue_.empty() ||
+        return stop_ || count_ > 0 ||
                (group_ != nullptr && group_->pending() > 0);
       });
-      if (stop_ && queue_.empty()) return;
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-        have = true;
-      }
+      if (stop_ && count_ == 0) return;
+      if (count_ > 0) loop = dequeue_locked();
     }
-    if (have) {
+    if (loop != nullptr) {
       if (group_ != nullptr) group_->note_dequeued(1);
-      task.fn();
+      loop->run_helper();
       continue;
     }
     // Own queue empty but the group has pending work: steal from a sibling.
@@ -240,15 +305,14 @@ void ThreadPool::worker_loop(unsigned index) {
 }
 
 bool ThreadPool::run_one() {
-  Task task;
+  Loop* loop = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
+    if (count_ == 0) return false;
+    loop = dequeue_locked();
   }
   if (group_ != nullptr) group_->note_dequeued(1);
-  task.fn();
+  loop->run_helper();
   return true;
 }
 
@@ -271,28 +335,25 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
     return;
   }
 
-  auto shared = std::make_shared<LoopShared>();
-  shared->fn = fn;
-  shared->begin = begin;
-  shared->end = end;
-  shared->grain = grain;
-  shared->nchunks = nchunks;
+  Loop loop;
+  loop.fn = &fn;
+  loop.begin = begin;
+  loop.end = end;
+  loop.grain = grain;
+  loop.nchunks = nchunks;
+  loop.outstanding = helpers;
 
-  // One queued task per helper; each drains the shared chunk counter. Tasks
-  // are self-contained (own the loop state through `shared`) so a stale or
-  // stolen helper can never dangle into this frame.
+  // One queued task per helper; each drains the shared chunk counter.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::int64_t i = 0; i < helpers; ++i) {
-      queue_.push_back(Task{[shared] { run_chunks(shared); }, shared.get()});
-    }
+    enqueue_locked(&loop, static_cast<std::size_t>(helpers));
   }
   cv_.notify_all();
   if (group_ != nullptr) group_->note_enqueued(helpers, this);
 
   {
     CurrentPoolScope scope(this);
-    run_chunks(shared);  // caller participates
+    loop.run_chunks();  // caller participates
   }
 
   if (help_foreign_) {
@@ -300,40 +361,40 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
     // parallel_for is nested); park briefly on the completion signal when the
     // queue is empty instead of spinning.
     CurrentPoolScope scope(this);
-    while (shared->done.load(std::memory_order_acquire) < nchunks) {
+    while (!loop.all_done()) {
       if (!run_one()) {
-        std::unique_lock<std::mutex> lock(shared->mu);
-        shared->done_cv.wait_for(lock, std::chrono::microseconds(200), [&] {
-          return shared->done.load(std::memory_order_acquire) >= nchunks;
-        });
+        std::unique_lock<std::mutex> lock(loop.mu);
+        loop.cv.wait_for(lock, std::chrono::microseconds(200),
+                         [&] { return loop.all_done(); });
       }
     }
   } else {
     // Latency-bounded wait: only this loop's chunks can extend the caller's
     // critical path — never an arbitrary foreign task.
-    std::unique_lock<std::mutex> lock(shared->mu);
-    shared->done_cv.wait(lock, [&] {
-      return shared->done.load(std::memory_order_acquire) >= nchunks;
-    });
+    std::unique_lock<std::mutex> lock(loop.mu);
+    loop.cv.wait(lock, [&] { return loop.all_done(); });
   }
 
-  // Drop stale helpers: every chunk is claimed, so helpers still queued are
+  // Drop stale helpers: every chunk is done, so helpers still queued are
   // pure no-ops — erase them instead of leaving them for a later dequeue.
-  std::int64_t removed = 0;
+  std::size_t removed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      if (it->tag == shared.get()) {
-        it = queue_.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
+    removed = erase_locked(&loop);
   }
-  if (removed > 0 && group_ != nullptr) group_->note_dequeued(removed);
+  if (removed > 0 && group_ != nullptr) {
+    group_->note_dequeued(static_cast<std::int64_t>(removed));
+  }
+  // Helpers already dequeued (here or by a sibling's thief) hold a pointer
+  // to `loop`; wait until each has exited before the frame goes away. Every
+  // chunk is done, so they only fail to claim one and sign out.
+  {
+    std::unique_lock<std::mutex> lock(loop.mu);
+    loop.outstanding -= static_cast<std::int64_t>(removed);
+    loop.cv.wait(lock, [&] { return loop.outstanding == 0; });
+  }
 
-  if (shared->failed.load()) std::rethrow_exception(shared->error);
+  if (loop.failed.load()) std::rethrow_exception(loop.error);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -26,8 +25,10 @@ class ThreadPool;
 
 /// Registry that lets idle member pools steal queued chunk tasks from busy
 /// siblings. Members register at construction and unregister at destruction;
-/// the group must outlive every member pool. All queued tasks are
-/// self-contained (they own their loop state via a shared block), so a task
+/// the group must outlive every member pool. A queued task is a pointer to
+/// its parallel_for's loop state, which lives in the caller's frame; the
+/// caller outlives every helper it queued (it returns only once each one has
+/// been erased from its queue or has exited, stolen ones included), so a task
 /// may safely run on any thread in the group.
 class WorkStealGroup {
  public:
@@ -103,7 +104,10 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [begin, end), partitioned into chunks of `grain`
   /// indices, blocking until every index has completed. The calling thread
-  /// participates in the work. Rethrows the first task exception.
+  /// participates in the work. Rethrows the first task exception. Makes no
+  /// heap allocation of its own: the loop state lives in this call's frame
+  /// and refers to `fn` without copying it, and the helper queue only grows
+  /// when full (once, if at all, for a warmed pool).
   void parallel_for(std::int64_t begin, std::int64_t end,
                     const std::function<void(std::int64_t)>& fn,
                     std::int64_t grain = 1);
@@ -129,19 +133,26 @@ class ThreadPool {
  private:
   friend class WorkStealGroup;
 
-  struct Task {
-    std::function<void()> fn;
-    /// Identity of the parallel_for that queued this task; lets the loop
-    /// erase its own stale helpers on return. Opaque, never dereferenced.
-    const void* tag = nullptr;
-  };
+  /// One parallel_for's state, on the caller's stack (defined in the .cpp).
+  struct Loop;
 
   void start(unsigned num_threads);
   void worker_loop(unsigned index);
   bool run_one();  // returns false if queue empty
 
+  // Queue of helper tasks, guarded by mu_. A task is the Loop* of the
+  // parallel_for that queued it — which is also its tag for erasing stale
+  // helpers. The ring grows only when full and never shrinks, so a warmed
+  // pool queues and dequeues without touching the heap.
+  void enqueue_locked(Loop* loop, std::size_t n);
+  Loop* dequeue_locked();
+  std::size_t erase_locked(const Loop* loop);
+
   std::vector<std::thread> workers_;
-  std::deque<Task> queue_;
+  std::vector<Loop*> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  unsigned started_ = 0;  ///< workers past start-up (start() waits on it)
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

@@ -248,8 +248,10 @@ TEST(WorkStealGroup, OneWideSliceFansOutViaSiblings) {
 
 // The queued helper tasks used to capture the parallel_for frame (&fn) by
 // reference: a helper dequeued after the loop returned dereferenced a dead
-// stack frame. Tasks are now self-contained and the loop erases its own
-// stale helpers on return — pin both.
+// stack frame. A queued helper still points at loop state in the caller's
+// frame, but the caller now outlives every helper it queued: on return it
+// erases its own stale helpers and waits for any already dequeued to exit —
+// pin that the queue is empty afterwards and the pool stays healthy.
 TEST(ThreadPool, StaleHelpersAreErasedNotDangled) {
   ThreadPool pool(2);  // one worker
   std::atomic<bool> gate{false};

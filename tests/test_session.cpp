@@ -9,21 +9,26 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
 #include "src/nn/apnn_network.hpp"
 #include "src/nn/model.hpp"
 #include "src/nn/session.hpp"
+#include "src/parallel/thread_pool.hpp"
 #include "src/tcsim/device_spec.hpp"
 
 // --- global allocation counter ----------------------------------------------
-// Counts every operator-new in the binary. The steady-state test pins that
+// Counts every operator-new in the binary. The steady-state tests pin that
 // the number of allocations a run() performs stops changing once the slab
-// and the scratch arenas have reached their high-water marks (the remaining
-// per-run count is the constant std::function / kernel-internal churn, not
-// growth). Overriding new/delete is per-binary, so this affects only
-// test_session.
+// and the scratch arenas have reached their high-water marks, at any pool
+// width. The remaining per-run count is constant (the std::function built at
+// each parallel_for call site, a few small per-kernel vectors) and does not
+// depend on worker timing: a parallel_for's loop state lives in the caller's
+// frame, the caller outlives every helper it queued, and no worker does
+// first-touch setup inside a run. Overriding new/delete is per-binary, so
+// this affects only test_session.
 namespace {
 std::atomic<std::int64_t> g_allocs{0};
 }
@@ -274,6 +279,54 @@ TEST(Session, AlternatingSeenBatchesStayAllocationFlat) {
   EXPECT_EQ(session.slab().capacity_bytes(), cap);
 }
 
+TEST(Session, ExplicitPoolWidthsStayAllocationFlat) {
+  // The steady-state checks above run on the global pool, which has no
+  // workers on a 1-core host. Explicit 2- and 4-wide pools exercise the
+  // multi-worker parallel_for path on any host: the slab settles at its
+  // high-water mark, the per-run allocation count is flat, results stay
+  // bit-exact, and a warmed parallel_for given a prebuilt body allocates
+  // nothing at all.
+  const ModelSpec m = mini_resnet(3, 8, 5);
+  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 354);
+  const auto input = random_input(4, m, 355);
+  net.calibrate(input);
+  const Tensor<std::int32_t> expected = net.forward_reference(input);
+  for (const unsigned width : {2u, 4u}) {
+    ThreadPool pool(width);
+    SessionOptions opts;
+    opts.pool = &pool;
+    InferenceSession session(net, dev(), opts);
+    Tensor<std::int32_t> logits;
+    for (int i = 0; i < 3; ++i) session.run(input, &logits);
+    EXPECT_EQ(logits, expected) << "width " << width;
+
+    const std::size_t settled_capacity = session.slab().capacity_bytes();
+    EXPECT_GT(settled_capacity, 0u);
+    EXPECT_EQ(settled_capacity, session.slab().high_water_bytes())
+        << "width " << width;
+    auto allocs_of_one_run = [&] {
+      const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
+      session.run(input, &logits);
+      return g_allocs.load(std::memory_order_relaxed) - before;
+    };
+    const std::int64_t run_a = allocs_of_one_run();
+    const std::int64_t run_b = allocs_of_one_run();
+    EXPECT_EQ(run_a, run_b) << "width " << width;
+    EXPECT_EQ(session.slab().capacity_bytes(), settled_capacity);
+
+    std::atomic<std::int64_t> sum{0};
+    const std::function<void(std::int64_t)> body = [&](std::int64_t i) {
+      sum += i;
+    };
+    pool.parallel_for(0, 64, body);  // warm
+    const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
+    pool.parallel_for(0, 64, body);
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0)
+        << "width " << width;
+    EXPECT_EQ(sum.load(), 2 * (63 * 64 / 2));
+  }
+}
+
 
 // --- compiled attention: dynamic-shape plan families ------------------------
 
@@ -342,7 +395,7 @@ TEST(Session, AttentionSteadyStateAcrossBucketsStaysFlat) {
   // One plan family serving mixed sequence lengths: after a warm pass over
   // every bucket, further traffic (any bucket order, padded lengths
   // included) must not grow the slab and must hold the per-run allocation
-  // count flat — serving mixed lengths allocates nothing in steady state.
+  // count flat — serving mixed lengths grows nothing in steady state.
   const ModelSpec m = tiny_transformer();
   ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 410);
   net.calibrate(random_tokens(2, m.input.h, m.input.c, 411));
