@@ -165,14 +165,21 @@ void Reader::expect_end() const {
 
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        std::vector<std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size());
-  out.insert(out.end(), kMagic, kMagic + 4);
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  const std::uint8_t header[kHeaderBytes] = {
+      kMagic[0], kMagic[1], kMagic[2], kMagic[3], kProtocolVersion,
+      static_cast<std::uint8_t>(type), 0, 0,  // reserved
+      static_cast<std::uint8_t>(len & 0xff),
+      static_cast<std::uint8_t>((len >> 8) & 0xff),
+      static_cast<std::uint8_t>((len >> 16) & 0xff),
+      static_cast<std::uint8_t>(len >> 24)};
+  // Sized once and filled by memcpy: g++ 12 misreads an insert after
+  // reserve as a write past the allocation (-Wstringop-overflow).
+  std::vector<std::uint8_t> out(kHeaderBytes + payload.size());
+  std::memcpy(out.data(), header, kHeaderBytes);
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kHeaderBytes, payload.data(), payload.size());
+  }
   return out;
 }
 

@@ -32,21 +32,31 @@ enum class ValueFormat {
 };
 
 enum class StepKind {
-  kPackInput,     ///< dense uint8 image -> 8-bit packed planes
-  kConv,          ///< apconv stage (fused tail)
-  kLinear,        ///< apmm stage (operand assembly fused in)
-  kResidualAdd,   ///< dense/packed + dense/packed -> dense
-  kRelu,          ///< dense -> dense
-  kPool,          ///< dense -> dense
-  kQuantize,      ///< dense -> dense codes or packed planes (fused repack)
-  kPack,          ///< dense codes -> packed conv planes
-  kUnpack,        ///< packed conv planes -> dense codes
-  kUnpackLinear,  ///< N x M feature planes -> dense {B, F} codes
-  kAttnProj,      ///< Q/K/V projection apmm (aux = 0/1/2), quantizing tail
-  kAttnScores,    ///< per-head QK^T + integer softmax -> attn codes (aux=head)
-  kAttnContext,   ///< per-head attn x V via packed transpose (aux = head)
-  kAttnOut,       ///< concat heads (extra_in) + output projection apmm
-  kUnpackTokens,  ///< token-major planes -> dense NHWC {B, seq, 1, C} codes
+  kPack,         ///< dense codes (the request tensor when in < 0) -> packed
+  kConv,         ///< apconv stage (fused tail)
+  kGemm,         ///< one bit-GEMM, described by Plan::Gemm
+  kResidualAdd,  ///< dense/packed + dense/packed -> dense
+  kRelu,         ///< dense -> dense
+  kPool,         ///< dense -> dense
+  kQuantize,     ///< dense -> dense codes or packed planes (fused repack)
+  kUnpack,       ///< packed planes of any format -> dense codes
+};
+
+/// Where a GEMM operand's planes come from.
+enum class OperandSource {
+  kWeight,     ///< a stage weight, read in place (A operands only)
+  kLend,       ///< the producer value's own planes, lent without a copy
+  kGather,     ///< packed conv planes, one flattened feature row per sample
+  kDecompose,  ///< dense {B, F} codes split into planes
+  kWindow,     ///< the same column window of each value, side by side
+};
+
+/// What a GEMM does with its accumulators.
+enum class GemmTail {
+  kEpilogue,      ///< Gemm::epi fused into the kernel, emitting packed planes
+  kDense,         ///< Gemm::epi on the raw M x N result, transposed to {B, F}
+  kSoftmax,       ///< raw rows -> integer softmax -> packed attention codes
+  kReluQuantize,  ///< raw rows -> ReLU -> Step::quant -> packed codes
 };
 
 // --- glue kernels -----------------------------------------------------------
@@ -246,16 +256,6 @@ void gather_linear_operand(ThreadPool& tp,
   });
 }
 
-/// Decomposes dense codes ({B, F} row-major) into operand planes. The
-/// range check mirrors what make_operand/encode_value enforced on the old
-/// linear path: an un-quantized value reaching a narrow operand must fail
-/// loudly, not truncate to its low bits.
-void decompose_linear_operand(ThreadPool& tp, const std::int32_t* src,
-                              std::int64_t batch, std::int64_t feat, int bits,
-                              bitops::BitPlanes& dst) {
-  pack_codes(tp, src, batch, feat, bits, dst.planes, /*grain=*/1);
-}
-
 /// M x N -> {N, M} transpose (apmm emits out_features x batch).
 void transpose_mn(ThreadPool& tp, const std::int32_t* src, std::int64_t m,
                   std::int64_t n, std::int32_t* dst) {
@@ -264,65 +264,30 @@ void transpose_mn(ThreadPool& tp, const std::int32_t* src, std::int64_t m,
   }, kRowGrain);
 }
 
-// --- attention staging ------------------------------------------------------
-//
-// Per-(sample, head) operand slices for the score/context GEMMs. Both
-// helpers reshape scratch planes in place, so steady-state reuse allocates
-// nothing once each scratch slot reached its high-water capacity.
-
-/// Copies the column window [col0, col0 + ncols) of token rows
-/// [row0, row0 + nrows) from token-major planes into a compact
-/// nrows x ncols operand (one head's Q/K/V slice).
-void stage_col_slice(ThreadPool& tp, const bitops::BitPlanes& src,
-                     std::int64_t row0, std::int64_t nrows, std::int64_t col0,
-                     std::int64_t ncols, bitops::BitPlanes& dst) {
-  // copy_bits only touches [0, ncols); the zero fill keeps the word padding
-  // beyond it honest.
-  dst.reset_shape(nrows, ncols, src.bits, /*zero_fill=*/true);
-  tp.parallel_for(0, nrows * src.bits, [&](std::int64_t task) {
-    const std::int64_t r = task / src.bits;
-    const int t = static_cast<int>(task % src.bits);
-    bitops::copy_bits(dst.planes[static_cast<std::size_t>(t)].row(r), 0,
-                      src.planes[static_cast<std::size_t>(t)].row(row0 + r),
-                      col0, ncols);
+/// Stages rows [row0, row0 + nrows) of the planes `planes_of(v)` of each
+/// value v in `values` as one operand: the column window [col0, col0 +
+/// width) of each, side by side. One value with a head's window slices
+/// Q/K/V, one value with all columns takes a sample's row block, and
+/// several values with all columns concatenate the heads. Reshapes `dst` in
+/// place, so steady-state reuse allocates nothing.
+template <typename PlanesOf>
+void copy_windows(ThreadPool& tp, const std::vector<int>& values,
+                  PlanesOf&& planes_of, std::int64_t row0, std::int64_t nrows,
+                  std::int64_t col0, std::int64_t width, int bits,
+                  bitops::BitPlanes& dst) {
+  // copy_bits only touches the windows; the zero fill keeps the word
+  // padding beyond them honest.
+  dst.reset_shape(nrows, width * static_cast<std::int64_t>(values.size()),
+                  bits, /*zero_fill=*/true);
+  tp.parallel_for(0, nrows * bits, [&](std::int64_t task) {
+    const std::int64_t r = task / bits;
+    const auto t = static_cast<std::size_t>(task % bits);
+    std::uint64_t* out = dst.planes[t].row(r);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      bitops::copy_bits(out, static_cast<std::int64_t>(i) * width,
+                        planes_of(values[i])[t].row(row0 + r), col0, width);
+    }
   }, kRowGrain);
-}
-
-/// Copies whole token rows [row0, row0 + nrows) (all columns) — word-aligned
-/// memcpy per plane, used to slice one sample's attention-code block.
-void stage_row_block(const bitops::BitPlanes& src, std::int64_t row0,
-                     std::int64_t nrows, bitops::BitPlanes& dst) {
-  dst.reset_shape(nrows, src.cols, src.bits, /*zero_fill=*/false);
-  const std::int64_t row_words = src.planes[0].row_words();
-  for (int t = 0; t < src.bits; ++t) {
-    std::memcpy(dst.planes[static_cast<std::size_t>(t)].row(0),
-                src.planes[static_cast<std::size_t>(t)].row(row0),
-                sizeof(std::uint64_t) *
-                    static_cast<std::size_t>(nrows * row_words));
-  }
-}
-
-/// The projection operand/quantizer a kAttnProj step's aux index selects.
-const core::ApOperand& attn_proj_weights(const ApnnStage& st, int aux) {
-  return aux == 0 ? st.weights : aux == 1 ? st.attn_wk : st.attn_wv;
-}
-const quant::QuantParams& attn_proj_quant(const ApnnStage& st, int aux) {
-  return aux == 0 ? st.attn_q_quant
-                  : aux == 1 ? st.attn_k_quant : st.attn_v_quant;
-}
-
-/// Scratch slots an attention step needs beyond its output slot.
-int attn_scratch_count(StepKind k) {
-  switch (k) {
-    case StepKind::kAttnScores:
-      return 2;  // Q-head + K-head slices (scores reuse the Q slot's dense)
-    case StepKind::kAttnContext:
-      return 3;  // attn block, V-head slice, transposed V-head
-    case StepKind::kAttnOut:
-      return 1;  // concatenated head operand
-    default:
-      return 0;
-  }
 }
 
 }  // namespace
@@ -341,19 +306,41 @@ struct InferenceSession::Plan {
     std::int64_t per_sample() const { return c * h * w; }
   };
 
+  /// One operand of a bit-GEMM (W is M x K, X is N x K, as core::apmm).
+  struct Operand {
+    OperandSource src = OperandSource::kLend;
+    const core::ApOperand ApnnStage::*weight = nullptr;  ///< kWeight
+    std::vector<int> values;  ///< the plan values it reads (kWindow: each)
+    std::int64_t col0 = 0, width = 0;  ///< kWindow: the column window
+    bool transpose = false;  ///< kWindow: transpose the staged planes
+    /// Rows per sample (per group for a per-sample GEMM), columns (K) and
+    /// bits the kernel sees; unused for kWeight.
+    std::int64_t rows = 0, cols = 0;
+    int bits = 0;
+    core::Encoding enc = Encoding::kUnsigned01;
+  };
+
+  /// A kGemm step: y = W X^T, once for the batch or once per sample, with
+  /// its accumulators finished by `tail`.
+  struct Gemm {
+    Operand a, b;
+    bool per_sample = false;  ///< one GEMM per sample's row block
+    GemmTail tail = GemmTail::kEpilogue;
+    core::Epilogue epi;         ///< fused epilogue (identity on raw tails)
+    std::int64_t tune_seq = 0;  ///< StageKey::seq: bucket for token GEMMs
+  };
+
   struct Step {
     StepKind kind;
     std::size_t layer = kNoLayer;  ///< spec layer (diagnostics)
     std::size_t stage = kNoLayer;  ///< index into net.stages()
     int in = -1, in2 = -1, out = -1;
-    quant::QuantParams quant;  ///< kQuantize
+    quant::QuantParams quant;  ///< kQuantize; kGemm's kReluQuantize tail
     PoolSpec pool;             ///< kPool
-    int operand_slot = -1, scratch_slot = -1;  ///< kLinear temporaries
-    /// kAttnProj: projection index (0/1/2 = Q/K/V);
-    /// kAttnScores/kAttnContext: head index.
-    int aux = 0;
-    std::vector<int> extra_in;       ///< kAttnOut: per-head context values
-    std::vector<int> scratch_slots;  ///< attention staging slots
+    Gemm gemm;                 ///< kGemm
+    /// kGemm staging slots: one per staged operand (two when transposed),
+    /// in A, B order; raw accumulators use the first slot's dense tensor.
+    std::vector<int> scratch_slots;
   };
 
   /// Batch-dependent step state, resolved once per distinct batch size and
@@ -361,7 +348,7 @@ struct InferenceSession::Plan {
   /// single-entry cache would re-run autotune — and allocate — each time).
   struct ResolvedBatch {
     std::vector<layout::ConvGeometry> geom;  ///< per step (kConv only)
-    std::vector<core::TunedKernel> kern;     ///< per step (kConv/kLinear)
+    std::vector<core::TunedKernel> kern;     ///< per step (kConv/kGemm)
   };
 
   /// This plan's bucketed view of the network: the spec with input.h set to
@@ -406,6 +393,8 @@ class Compiler {
  private:
   using Value = InferenceSession::Plan::Value;
   using Step = InferenceSession::Plan::Step;
+  using Gemm = InferenceSession::Plan::Gemm;
+  using Operand = InferenceSession::Plan::Operand;
 
   void index_stages() {
     consumed_.assign(spec_.layers.size(), false);
@@ -505,6 +494,22 @@ class Compiler {
     return plan_.steps.back();
   }
 
+  /// Appends a kGemm step of stage `si` writing `out`; the caller fills in
+  /// the descriptor.
+  Gemm& add_gemm(std::size_t layer, std::size_t si, int out) {
+    Step& s = add_step(StepKind::kGemm, layer);
+    s.stage = si;
+    s.out = out;
+    return s.gemm;
+  }
+
+  static Operand weight(const core::ApOperand ApnnStage::*w) {
+    Operand op;
+    op.src = OperandSource::kWeight;
+    op.weight = w;
+    return op;
+  }
+
   /// Value id holding layer `li`'s output (network input for li == size).
   int value_of(std::size_t li) {
     const std::size_t producer = li == spec_.layers.size()
@@ -525,12 +530,7 @@ class Compiler {
     const bool spatial = v.format == ValueFormat::kPackedConv ||
                          v.format == ValueFormat::kPackedTokens;
     const int dv = new_value(ValueFormat::kDense, v.c, v.h, v.w, spatial, 0);
-    const StepKind kind = v.format == ValueFormat::kPackedConv
-                              ? StepKind::kUnpack
-                              : v.format == ValueFormat::kPackedTokens
-                                    ? StepKind::kUnpackTokens
-                                    : StepKind::kUnpackLinear;
-    Step& s = add_step(kind, kNoLayer);
+    Step& s = add_step(StepKind::kUnpack, kNoLayer);
     s.in = vid;
     s.out = dv;
     dense_shadow_[vid] = dv;
@@ -573,8 +573,8 @@ class Compiler {
     plan_.input_value =
         new_value(ValueFormat::kPackedConv, spec_.input.c, spec_.input.h,
                   spec_.input.w, true, 8);
-    Step& pack_in = add_step(StepKind::kPackInput, kNoLayer);
-    pack_in.out = plan_.input_value;
+    Step& pack_in = add_step(StepKind::kPack, kNoLayer);
+    pack_in.out = plan_.input_value;  // in < 0: the request tensor
 
     const auto& shapes = plan_.shapes;
     for (std::size_t li = 0; li < n; ++li) {
@@ -611,14 +611,30 @@ class Compiler {
               ValueFormat::kPackedTokens) {
             in_v = ensure_dense(in_v);
           }
+          // The feature operand: lend a quantizing apmm's planes, gather
+          // packed conv planes, or decompose dense codes (range-checked, so
+          // an un-quantized value fails loudly instead of truncating).
+          Operand x;
+          x.values = {in_v};
+          x.rows = 1;
+          x.cols = st.weights.cols();
+          x.bits = st.in_bits;
+          x.enc = st.in_enc;
           {
             const Value& v = plan_.values[static_cast<std::size_t>(in_v)];
-            if (v.format == ValueFormat::kPackedConv ||
-                v.format == ValueFormat::kPackedLinear) {
+            APNN_CHECK(v.per_sample() == x.cols)
+                << "linear layer '" << l.name << "' wants " << x.cols
+                << " features, producer emits " << v.per_sample();
+            if (v.format != ValueFormat::kDense) {
               APNN_CHECK(v.bits == st.in_bits)
                   << "linear stage wants " << st.in_bits
                   << "-bit features, producer emits " << v.bits;
             }
+            x.src = v.format == ValueFormat::kPackedLinear
+                        ? OperandSource::kLend
+                        : v.format == ValueFormat::kPackedConv
+                              ? OperandSource::kGather
+                              : OperandSource::kDecompose;
           }
           const std::size_t out_layer =
               st.absorbed.empty() ? li : st.absorbed.back();
@@ -628,10 +644,12 @@ class Compiler {
                   ? new_value(ValueFormat::kPackedLinear, out_f, 1, 1, false,
                               st.epilogue.quant.bits)
                   : new_value(ValueFormat::kDense, out_f, 1, 1, false, 0);
-          Step& s = add_step(StepKind::kLinear, li);
-          s.stage = si;
-          s.in = in_v;
-          s.out = out_v;
+          Gemm& g = add_gemm(li, si, out_v);
+          g.a = weight(&ApnnStage::weights);
+          g.b = std::move(x);
+          g.tail = st.epilogue.has_quant ? GemmTail::kEpilogue
+                                         : GemmTail::kDense;
+          g.epi = st.epilogue;
           val_of_layer_[li] = out_v;
           plan_.logits_value = out_v;
           break;
@@ -740,47 +758,78 @@ class Compiler {
           APNN_CHECK(st.epilogue.has_quant)
               << "attention output projection must quantize";
 
-          // Q/K/V projections (aux picks the weight/requantizer triple).
+          // A window operand over token-major planes of `values`: `seq`
+          // rows per sample, `width` columns from col0 of each value.
+          const auto window = [&](std::vector<int> values, std::int64_t col0,
+                                  std::int64_t width) {
+            Operand op;
+            op.src = OperandSource::kWindow;
+            op.rows = seq;
+            op.cols = width * static_cast<std::int64_t>(values.size());
+            op.bits = abits;
+            op.values = std::move(values);
+            op.col0 = col0;
+            op.width = width;
+            return op;
+          };
+
+          // Q/K/V projections: ReLU + requantize fused into the kernel.
+          static constexpr const core::ApOperand ApnnStage::*kProjW[3] = {
+              &ApnnStage::weights, &ApnnStage::attn_wk, &ApnnStage::attn_wv};
+          static constexpr const quant::QuantParams ApnnStage::*kProjQ[3] = {
+              &ApnnStage::attn_q_quant, &ApnnStage::attn_k_quant,
+              &ApnnStage::attn_v_quant};
           int qkv[3];
           for (int p = 0; p < 3; ++p) {
             qkv[p] = new_value(ValueFormat::kPackedTokens, proj, seq, 1,
                                true, abits);
-            Step& s = add_step(StepKind::kAttnProj, li);
-            s.stage = si;
-            s.aux = p;
-            s.in = in_v;
-            s.out = qkv[p];
+            Gemm& g = add_gemm(li, si, qkv[p]);
+            g.a = weight(kProjW[p]);
+            g.b.src = OperandSource::kLend;
+            g.b.values = {in_v};
+            g.b.rows = seq;
+            g.b.cols = d_model;
+            g.b.bits = st.in_bits;
+            g.b.enc = st.in_enc;
+            g.epi.has_relu = true;
+            g.epi.has_quant = true;
+            g.epi.quant = st.*kProjQ[p];
+            g.tune_seq = plan_.bucket;
           }
 
-          // Per-head score/context chains.
+          // Per-head chains, one GEMM per sample: QK^T with the integer
+          // softmax tail, then attn x V against the transposed V slice.
           std::vector<int> ctx;
           for (int h = 0; h < heads; ++h) {
             const int sv = new_value(ValueFormat::kPackedTokens, seq, seq, 1,
                                      true, abits);
-            Step& ss = add_step(StepKind::kAttnScores, li);
-            ss.stage = si;
-            ss.aux = h;
-            ss.in = qkv[0];
-            ss.in2 = qkv[1];
-            ss.out = sv;
+            Gemm& sg = add_gemm(li, si, sv);
+            sg.a = window({qkv[0]}, h * dh, dh);
+            sg.b = window({qkv[1]}, h * dh, dh);
+            sg.per_sample = true;
+            sg.tail = GemmTail::kSoftmax;
+
             const int cv = new_value(ValueFormat::kPackedTokens, dh, seq, 1,
                                      true, abits);
-            Step& cs = add_step(StepKind::kAttnContext, li);
-            cs.stage = si;
-            cs.aux = h;
-            cs.in = sv;
-            cs.in2 = qkv[2];
-            cs.out = cv;
+            Gemm& cg = add_gemm(li, si, cv);
+            plan_.steps.back().quant = st.attn_ctx_quant;
+            cg.a = window({sv}, 0, seq);
+            cg.b = window({qkv[2]}, h * dh, dh);
+            cg.b.transpose = true;
+            std::swap(cg.b.rows, cg.b.cols);
+            cg.per_sample = true;
+            cg.tail = GemmTail::kReluQuantize;
             ctx.push_back(cv);
           }
 
           // Output projection over the head concatenation.
           const int out_v = new_value(ValueFormat::kPackedTokens, d_model,
                                       seq, 1, true, abits);
-          Step& os = add_step(StepKind::kAttnOut, li);
-          os.stage = si;
-          os.extra_in = ctx;
-          os.out = out_v;
+          Gemm& og = add_gemm(li, si, out_v);
+          og.a = weight(&ApnnStage::attn_wo);
+          og.b = window(std::move(ctx), 0, dh);
+          og.epi = st.epilogue;
+          og.tune_seq = plan_.bucket;
           val_of_layer_[li] = out_v;
           break;
         }
@@ -808,13 +857,9 @@ class Compiler {
     const std::size_t nsteps = plan_.steps.size();
     for (auto& v : plan_.values) v.last_use = 0;
     for (std::size_t s = 0; s < nsteps; ++s) {
-      const Step& st = plan_.steps[s];
-      for (int vid : {st.in, st.in2}) {
-        if (vid >= 0) plan_.values[static_cast<std::size_t>(vid)].last_use = s;
-      }
-      for (int vid : st.extra_in) {
+      for_each_input(plan_.steps[s], [&](int vid) {
         plan_.values[static_cast<std::size_t>(vid)].last_use = s;
-      }
+      });
     }
     plan_.values[static_cast<std::size_t>(plan_.logits_value)].last_use =
         nsteps;  // survives
@@ -832,18 +877,14 @@ class Compiler {
     auto release_inputs = [&](const Step& st, std::size_t s) {
       // A step reading the same value twice (x + x) must free it once.
       std::vector<int> seen;
-      auto release = [&](int vid) {
-        if (vid < 0) return;
+      for_each_input(st, [&](int vid) {
         if (std::find(seen.begin(), seen.end(), vid) != seen.end()) return;
         seen.push_back(vid);
         Value& v = plan_.values[static_cast<std::size_t>(vid)];
         // v.slot stays recorded — the step executing at v.last_use still
         // reads through it; only *later* outputs may take the slot over.
         if (v.last_use == s && v.slot >= 0) free.push_back(v.slot);
-      };
-      release(st.in);
-      release(st.in2);
-      for (int vid : st.extra_in) release(vid);
+      });
     };
 
     for (std::size_t s = 0; s < nsteps; ++s) {
@@ -859,24 +900,38 @@ class Compiler {
         plan_.values[static_cast<std::size_t>(st.out)].slot = acquire();
       } else {
         plan_.values[static_cast<std::size_t>(st.out)].slot = acquire();
-        if (st.kind == StepKind::kLinear) {
-          const Value& in = plan_.values[static_cast<std::size_t>(st.in)];
-          if (in.format != ValueFormat::kPackedLinear) {
-            st.operand_slot = acquire();
+        if (st.kind == StepKind::kGemm) {
+          for (int i = 0; i < scratch_count(st.gemm); ++i) {
+            st.scratch_slots.push_back(acquire());
           }
-          const ApnnStage& stage = net_.stages()[st.stage];
-          if (!stage.epilogue.has_quant) st.scratch_slot = acquire();
-        }
-        for (int i = 0; i < attn_scratch_count(st.kind); ++i) {
-          st.scratch_slots.push_back(acquire());
         }
         release_inputs(st, s);
-        if (st.operand_slot >= 0) free.push_back(st.operand_slot);
-        if (st.scratch_slot >= 0) free.push_back(st.scratch_slot);
         for (int slot : st.scratch_slots) free.push_back(slot);
       }
     }
     plan_.num_slots = static_cast<std::size_t>(next);
+  }
+
+  /// Calls fn(value id) for every value step `st` reads.
+  template <typename Fn>
+  static void for_each_input(const Step& st, Fn&& fn) {
+    for (int vid : {st.in, st.in2}) {
+      if (vid >= 0) fn(vid);
+    }
+    for (int vid : st.gemm.a.values) fn(vid);
+    for (int vid : st.gemm.b.values) fn(vid);
+  }
+
+  /// Scratch slots a GEMM stages its operands (and raw accumulators) in.
+  static int scratch_count(const Gemm& g) {
+    const auto staged = [](const Operand& op) {
+      const bool copies = op.src == OperandSource::kGather ||
+                          op.src == OperandSource::kDecompose ||
+                          op.src == OperandSource::kWindow;
+      return copies ? 1 + static_cast<int>(op.transpose) : 0;
+    };
+    const int n = staged(g.a) + staged(g.b);
+    return n == 0 && g.tail != GemmTail::kEpilogue ? 1 : n;
   }
 
   const ApnnNetwork& net_;
@@ -958,69 +1013,31 @@ const InferenceSession::Plan::ResolvedBatch& resolve_batch(
     const auto& s = plan.steps[si];
     if (s.kind == StepKind::kConv) {
       const ApnnStage& st = net.stages()[s.stage];
-      rb.geom[si] = conv_geometry(plan.spec, plan.shapes, s.layer, batch);
-      if (tuner != nullptr) {
-        rb.kern[si] =
-            tuner->tune_apconv(st.weights, rb.geom[si], st.in_bits,
-                               st.in_enc, st.epilogue, st.pool);
-      } else {
-        rb.kern[si].tile = core::clamp_tile_rows(
-            core::autotune_tile(rb.geom[si].gemm_m(), rb.geom[si].gemm_n(),
-                                rb.geom[si].gemm_k(), st.weights.bits(),
-                                st.in_bits, dev)
-                .tile,
-            rb.geom[si].gemm_m(), st.weights.bits());
+      const layout::ConvGeometry& g =
+          rb.geom[si] = conv_geometry(plan.spec, plan.shapes, s.layer, batch);
+      rb.kern[si] = tuner != nullptr
+                        ? tuner->tune_apconv(st.weights, g, st.in_bits,
+                                             st.in_enc, st.epilogue, st.pool)
+                        : heuristic(g.gemm_m(), g.gemm_n(), g.gemm_k(),
+                                    st.weights.bits(), st.in_bits);
+    } else if (s.kind == StepKind::kGemm) {
+      const InferenceSession::Plan::Gemm& g = s.gemm;
+      const std::int64_t n = g.b.rows * (g.per_sample ? 1 : batch);
+      if (g.a.src != OperandSource::kWeight) {
+        // Per-sample GEMMs on freshly staged operands: heuristic tiles
+        // only — empirical measurement would key on staging scratch, not a
+        // stage weight operand.
+        rb.kern[si] = heuristic(g.a.rows, n, g.a.cols, g.a.bits, g.b.bits);
+        continue;
       }
-    } else if (s.kind == StepKind::kLinear) {
-      const ApnnStage& st = net.stages()[s.stage];
-      if (tuner != nullptr) {
-        rb.kern[si] = tuner->tune_apmm(st.weights, batch, st.in_bits,
-                                       st.in_enc, st.epilogue);
-      } else {
-        rb.kern[si] = heuristic(st.weights.rows(), batch, st.weights.cols(),
-                                st.weights.bits(), st.in_bits);
-      }
-    } else if (s.kind == StepKind::kAttnProj ||
-               s.kind == StepKind::kAttnOut) {
-      // Token-count GEMMs: N is batch * bucket, so the tuning key carries
-      // the plan's bucket — each bucket of the family tunes (and caches)
-      // independently.
-      const ApnnStage& st = net.stages()[s.stage];
-      const bool is_out = s.kind == StepKind::kAttnOut;
-      const core::ApOperand& w =
-          is_out ? st.attn_wo : attn_proj_weights(st, s.aux);
-      core::Epilogue epi;
-      if (is_out) {
-        epi = st.epilogue;
-      } else {
-        epi.has_relu = true;
-        epi.has_quant = true;
-        epi.quant = attn_proj_quant(st, s.aux);
-      }
-      const int in_bits = is_out ? st.epilogue.quant.bits : st.in_bits;
-      const std::int64_t n =
-          batch * plan.values[static_cast<std::size_t>(s.out)].h;
-      if (tuner != nullptr) {
-        rb.kern[si] = tuner->tune_apmm(w, n, in_bits, Encoding::kUnsigned01,
-                                       epi, /*seq=*/plan.bucket);
-      } else {
-        rb.kern[si] = heuristic(w.rows(), n, w.cols(), w.bits(), in_bits);
-      }
-    } else if (s.kind == StepKind::kAttnScores ||
-               s.kind == StepKind::kAttnContext) {
-      // Per-(sample, head) GEMMs on freshly staged operands: heuristic
-      // tiles only — empirical measurement would key on staging scratch,
-      // not a stage weight operand.
-      const auto& out = plan.values[static_cast<std::size_t>(s.out)];
-      const std::int64_t seq = out.h;
-      const std::int64_t dh =
-          plan.spec.layers[s.layer].attn.d_head;
-      const int abits = out.bits;
-      if (s.kind == StepKind::kAttnScores) {
-        rb.kern[si] = heuristic(seq, seq, dh, abits, abits);
-      } else {
-        rb.kern[si] = heuristic(seq, dh, seq, abits, abits);
-      }
+      // Token GEMMs key on the plan's bucket (tune_seq), so each bucket of
+      // the family tunes (and caches) independently.
+      const core::ApOperand& w = net.stages()[s.stage].*g.a.weight;
+      rb.kern[si] = tuner != nullptr
+                        ? tuner->tune_apmm(w, n, g.b.bits, g.b.enc, g.epi,
+                                           g.tune_seq)
+                        : heuristic(w.rows(), n, w.cols(), w.bits(),
+                                    g.b.bits);
     }
   }
   return plan.resolved.emplace(batch, std::move(rb)).first->second;
@@ -1231,21 +1248,37 @@ void InferenceSession::run_plan(Plan& plan,
   auto value = [&](int vid) -> const Plan::Value& {
     return plan.values[static_cast<std::size_t>(vid)];
   };
+  /// The bit planes of a packed value, whatever its format.
+  auto planes_of = [&](int vid) -> std::vector<bitops::BitMatrix>& {
+    parallel::SlabSlot& s = slot_of(vid);
+    return value(vid).format == ValueFormat::kPackedConv ? s.packed.planes
+                                                         : s.planes.planes;
+  };
+  /// Shapes a dense value's tensor: NHWC when spatial, {B, F} otherwise.
+  auto shape_dense = [&](Tensor<std::int32_t>& t, const Plan::Value& v) {
+    if (v.spatial) {
+      t.reset_shape({batch, v.h, v.w, v.c});
+    } else {
+      t.reset_shape({batch, v.c});
+    }
+  };
 
   for (std::size_t si = 0; si < plan.steps.size(); ++si) {
     const auto& step = plan.steps[si];
     switch (step.kind) {
-      case StepKind::kPackInput: {
+      case StepKind::kPack: {
         const Plan::Value& out = value(step.out);
+        const std::int64_t rows = batch * out.h * out.w;
+        const std::int32_t* src = step.in < 0
+                                      ? input_u8.data()
+                                      : slot_of(step.in).dense.data();
         parallel::SlabSlot& dst = slot_of(step.out);
         // pack_rows overwrites every padded word — no zero-fill pass.
-        dst.packed.reset_shape(batch, out.h, out.w, out.c, 8,
+        dst.packed.reset_shape(batch, out.h, out.w, out.c, out.bits,
                                /*zero_fill=*/false);
-        pack_codes(tp, input_u8.data(), batch * out.h * out.w, out.c, 8,
-                   dst.packed.planes);
-        if (prof != nullptr) {
-          prof->add(core::decompose_profile(batch * out.h * out.w, out.c, 8,
-                                            1.0));
+        pack_codes(tp, src, rows, out.c, out.bits, dst.packed.planes);
+        if (prof != nullptr && step.in < 0) {
+          prof->add(core::decompose_profile(rows, out.c, out.bits, 1.0));
         }
         break;
       }
@@ -1276,38 +1309,17 @@ void InferenceSession::run_plan(Plan& plan,
         }
         break;
       }
-      case StepKind::kLinear: {
+      case StepKind::kGemm: {
+        const Plan::Gemm& gm = step.gemm;
         const ApnnStage& st = net_.stages()[step.stage];
-        const Plan::Value& in = value(step.in);
-        const std::int64_t feat = st.weights.cols();
-
-        // Feature operand: lend the kernel existing plane storage — either
-        // the producer's own planes (a quantizing apmm upstream) or the
-        // step's operand slot filled by the word-granular gather/decompose.
-        core::ApOperand xop;
-        xop.encoding = st.in_enc;
-        bitops::BitPlanes* lender = nullptr;
-        if (in.format == ValueFormat::kPackedLinear) {
-          APNN_CHECK(in.per_sample() == feat) << "feature count mismatch";
-          lender = &slot_of(step.in).planes;
-        } else {
-          lender = &slab_.slot(static_cast<std::size_t>(step.operand_slot))
-                        .planes;
-          // The gather writes C-bit slabs into otherwise-untouched rows and
-          // needs the zeroed padding; the decompose overwrites every word.
-          const bool gather = in.format == ValueFormat::kPackedConv;
-          lender->reset_shape(batch, feat, st.in_bits, /*zero_fill=*/gather);
-          if (gather) {
-            const layout::PackedActivations& x = slot_of(step.in).packed;
-            APNN_CHECK(x.h * x.w * x.c == feat) << "feature count mismatch";
-            gather_linear_operand(tp, x, *lender);
-          } else {
-            APNN_CHECK(in.per_sample() == feat) << "feature count mismatch";
-            decompose_linear_operand(tp, slot_of(step.in).dense.data(),
-                                     batch, feat, st.in_bits, *lender);
-          }
-        }
-        xop.planes = std::move(*lender);
+        const Plan::Value& out = value(step.out);
+        parallel::SlabSlot& dst = slot_of(step.out);
+        auto scratch = [&](std::size_t i) -> parallel::SlabSlot& {
+          return slab_.slot(static_cast<std::size_t>(step.scratch_slots[i]));
+        };
+        const std::int64_t groups = gm.per_sample ? batch : 1;
+        // Output rows per group: a sample's tokens, or the whole batch.
+        const std::int64_t out_rows = batch * out.h * out.w / groups;
 
         core::ApmmOptions o;
         o.autotune = false;
@@ -1318,30 +1330,122 @@ void InferenceSession::run_plan(Plan& plan,
         o.pool = opts_.pool;
         core::microkernel::SparsityStats sstats;
         o.sparsity_stats = prof != nullptr ? &sstats : nullptr;
-        parallel::SlabSlot& dst = slot_of(step.out);
         Tensor<std::int32_t>* raw = nullptr;
-        if (st.epilogue.has_quant) {
+        if (gm.tail == GemmTail::kEpilogue) {
           o.packed_out = &dst.planes;
         } else {
-          raw = &slab_.slot(static_cast<std::size_t>(step.scratch_slot))
-                     .dense;
+          raw = &scratch(0).dense;
           o.y_out = raw;
         }
-        const std::size_t first = prof != nullptr ? prof->kernels.size() : 0;
-        core::ApmmResult r = core::apmm(st.weights, xop, dev_, o,
-                                        st.epilogue);
-        if (prof != nullptr) {
-          prof->add(r.profile);
-          annotate_sparsity(prof, first, sstats);
+        if (gm.tail == GemmTail::kSoftmax ||
+            gm.tail == GemmTail::kReluQuantize) {
+          // Each group packs its rows; every padded word gets overwritten.
+          dst.planes.reset_shape(batch * out.h * out.w, out.c, out.bits,
+                                 /*zero_fill=*/false);
         }
-        *lender = std::move(xop.planes);
 
-        if (!st.epilogue.has_quant) {
-          // apmm emits M x N; the dense value is {B, F}.
-          const Plan::Value& out = value(step.out);
-          dst.dense.reset_shape({batch, out.c});
-          transpose_mn(tp, raw->data(), out.c, batch, dst.dense.data());
+        // Binds one slab operand for group g: its planes are staged in the
+        // next scratch slot (or are the producer's own, for kLend) and are
+        // moved into `op` for the call; the returned home takes them back.
+        std::size_t next_scratch = 0;
+        auto bind = [&](const Plan::Operand& d, std::int64_t g,
+                        core::ApOperand& op) {
+          op.encoding = d.enc;
+          bitops::BitPlanes* staged = nullptr;
+          switch (d.src) {
+            case OperandSource::kLend: {
+              const Plan::Value& v = value(d.values[0]);
+              std::vector<bitops::BitMatrix>& home = planes_of(d.values[0]);
+              op.planes.rows = batch * v.h * v.w;
+              op.planes.cols = v.c;
+              op.planes.bits = v.bits;
+              op.planes.planes = std::move(home);
+              return &home;
+            }
+            case OperandSource::kGather:
+              staged = &scratch(next_scratch++).planes;
+              // The gather writes C-bit slabs into otherwise untouched rows
+              // and needs the zeroed padding.
+              staged->reset_shape(batch, d.cols, d.bits, /*zero_fill=*/true);
+              gather_linear_operand(tp, slot_of(d.values[0]).packed,
+                                    *staged);
+              break;
+            case OperandSource::kDecompose:
+              staged = &scratch(next_scratch++).planes;
+              staged->reset_shape(batch, d.cols, d.bits, /*zero_fill=*/false);
+              pack_codes(tp, slot_of(d.values[0]).dense.data(), batch,
+                         d.cols, d.bits, staged->planes, /*grain=*/1);
+              break;
+            case OperandSource::kWindow: {
+              const Plan::Value& v = value(d.values[0]);
+              const std::int64_t rows = v.h * v.w * (batch / groups);
+              staged = &scratch(next_scratch++).planes;
+              copy_windows(tp, d.values, planes_of, g * rows, rows, d.col0,
+                           d.width, d.bits, *staged);
+              if (d.transpose) {
+                bitops::BitPlanes* t = &scratch(next_scratch++).planes;
+                layout::transpose_planes(*staged, *t);
+                staged = t;
+              }
+              break;
+            }
+            case OperandSource::kWeight:
+              APNN_CHECK(false) << "weights are never staged";
+          }
+          op.planes.rows = staged->rows;
+          op.planes.cols = staged->cols;
+          op.planes.bits = staged->bits;
+          op.planes.planes = std::move(staged->planes);
+          return &staged->planes;
+        };
+
+        const std::size_t first = prof != nullptr ? prof->kernels.size() : 0;
+        for (std::int64_t g = 0; g < groups; ++g) {
+          next_scratch = 0;
+          core::ApOperand a_staged, x;
+          std::vector<bitops::BitMatrix>* a_home = nullptr;
+          const core::ApOperand* a = &a_staged;
+          if (gm.a.src == OperandSource::kWeight) {
+            a = &(st.*gm.a.weight);
+          } else {
+            a_home = bind(gm.a, g, a_staged);
+          }
+          std::vector<bitops::BitMatrix>* x_home = bind(gm.b, g, x);
+          core::ApmmResult r = core::apmm(*a, x, dev_, o, gm.epi);
+          if (prof != nullptr) prof->add(r.profile);
+          if (a_home != nullptr) *a_home = std::move(a_staged.planes.planes);
+          *x_home = std::move(x.planes.planes);
+
+          switch (gm.tail) {
+            case GemmTail::kEpilogue:
+              break;  // the kernel wrote the packed planes
+            case GemmTail::kDense:
+              // apmm emits M x N; the dense value is {B, F}.
+              shape_dense(dst.dense, out);
+              transpose_mn(tp, raw->data(), out.c, batch, dst.dense.data());
+              break;
+            case GemmTail::kSoftmax: {
+              // Scale -> integer softmax -> requantize, in place on the raw
+              // scores (row max is read out before any write).
+              const int shift =
+                  attn_scale_shift(plan.spec.layers[step.layer].attn);
+              std::int32_t* scores = raw->data();
+              tp.parallel_for(0, out_rows, [&](std::int64_t i) {
+                attn_softmax_row(scores + i * out.c, out.c, shift, out.bits,
+                                 scores + i * out.c);
+              }, kRowGrain);
+              pack_codes(tp, scores, out_rows, out.c, out.bits,
+                         dst.planes.planes, kRowGrain, g * out_rows);
+              break;
+            }
+            case GemmTail::kReluQuantize:
+              relu_quantize_pack(tp, raw->data(), out_rows, out.c,
+                                 step.quant, dst.planes.planes,
+                                 g * out_rows);
+              break;
+          }
         }
+        if (prof != nullptr) annotate_sparsity(prof, first, sstats);
         break;
       }
       case StepKind::kResidualAdd: {
@@ -1389,18 +1493,12 @@ void InferenceSession::run_plan(Plan& plan,
       }
       case StepKind::kRelu: {
         const Plan::Value& out = value(step.out);
-        const std::int64_t n = batch * out.per_sample();
         const Tensor<std::int32_t>& src = slot_of(step.in).dense;
         parallel::SlabSlot& ds = slot_of(step.out);
         const std::int32_t* s = src.data();
-        if (&ds.dense != &src) {  // in-place when the slot was reused
-          if (out.spatial) {
-            ds.dense.reset_shape({batch, out.h, out.w, out.c});
-          } else {
-            ds.dense.reset_shape({batch, out.c});
-          }
-        }
-        relu_dense(tp, s, ds.dense.data(), n);
+        // in-place when the slot was reused
+        if (&ds.dense != &src) shape_dense(ds.dense, out);
+        relu_dense(tp, s, ds.dense.data(), batch * out.per_sample());
         break;
       }
       case StepKind::kPool: {
@@ -1424,225 +1522,18 @@ void InferenceSession::run_plan(Plan& plan,
                         ds.packed.planes);
         } else {
           const std::int32_t* s = src.data();
-          if (&ds.dense != &src) {  // in-place when the slot was reused
-            if (out.spatial) {
-              ds.dense.reset_shape({batch, out.h, out.w, out.c});
-            } else {
-              ds.dense.reset_shape({batch, out.c});
-            }
-          }
+          // in-place when the slot was reused
+          if (&ds.dense != &src) shape_dense(ds.dense, out);
           quantize_dense(tp, s, ds.dense.data(), rows * out.c, step.quant);
         }
         break;
       }
-      case StepKind::kPack: {
-        const Plan::Value& out = value(step.out);
-        parallel::SlabSlot& ds = slot_of(step.out);
-        ds.packed.reset_shape(batch, out.h, out.w, out.c, out.bits,
-                              /*zero_fill=*/false);
-        pack_codes(tp, slot_of(step.in).dense.data(),
-                   batch * out.h * out.w, out.c, out.bits, ds.packed.planes);
-        break;
-      }
       case StepKind::kUnpack: {
-        const Plan::Value& out = value(step.out);
-        const layout::PackedActivations& src = slot_of(step.in).packed;
-        parallel::SlabSlot& ds = slot_of(step.out);
-        ds.dense.reset_shape({batch, out.h, out.w, out.c});
-        decode_planes(tp, src.planes, src.bits, batch * out.h * out.w,
-                      out.c, ds.dense.data(), false);
-        break;
-      }
-      case StepKind::kUnpackLinear: {
-        const Plan::Value& out = value(step.out);
-        const bitops::BitPlanes& src = slot_of(step.in).planes;
-        parallel::SlabSlot& ds = slot_of(step.out);
-        ds.dense.reset_shape({batch, out.c});
-        decode_planes(tp, src.planes, src.bits, batch, out.c,
-                      ds.dense.data(), false);
-        break;
-      }
-      case StepKind::kAttnProj: {
-        const ApnnStage& st = net_.stages()[step.stage];
         const Plan::Value& in = value(step.in);
-        const std::int64_t tokens = batch * in.h * in.w;
-        // Lend the producer's plane storage (the input pack, or a previous
-        // attention layer's token planes) to the kernel as the N x K token
-        // operand — no copy, restored after the call.
-        std::vector<bitops::BitMatrix>* lender =
-            in.format == ValueFormat::kPackedConv
-                ? &slot_of(step.in).packed.planes
-                : &slot_of(step.in).planes.planes;
-        core::ApOperand xop;
-        xop.encoding = st.in_enc;
-        xop.planes.rows = tokens;
-        xop.planes.cols = in.c;
-        xop.planes.bits = in.bits;
-        xop.planes.planes = std::move(*lender);
-
-        core::Epilogue epi;
-        epi.has_relu = true;
-        epi.has_quant = true;
-        epi.quant = attn_proj_quant(st, step.aux);
-
-        core::ApmmOptions o;
-        o.autotune = false;
-        o.tile = rb.kern[si].tile;
-        o.micro = rb.kern[si].micro;
-        o.combine_fast = rb.kern[si].combine_fast;
-        o.collect_profile = prof != nullptr;
-        o.pool = opts_.pool;
-        o.packed_out = &slot_of(step.out).planes;
-        core::ApmmResult r =
-            core::apmm(attn_proj_weights(st, step.aux), xop, dev_, o, epi);
-        if (prof != nullptr) prof->add(r.profile);
-        *lender = std::move(xop.planes.planes);
-        break;
-      }
-      case StepKind::kAttnScores: {
-        const AttentionParams& ap = plan.spec.layers[step.layer].attn;
         const Plan::Value& out = value(step.out);
-        const std::int64_t seq = out.h;
-        const std::int64_t dh = ap.d_head;
-        const std::int64_t col0 = static_cast<std::int64_t>(step.aux) * dh;
-        const int shift = attn_scale_shift(ap);
-        const int abits = out.bits;
-        parallel::SlabSlot& s0 =
-            slab_.slot(static_cast<std::size_t>(step.scratch_slots[0]));
-        parallel::SlabSlot& s1 =
-            slab_.slot(static_cast<std::size_t>(step.scratch_slots[1]));
-        parallel::SlabSlot& dst = slot_of(step.out);
-        // pack_codes overwrites every padded word of the rows it writes.
-        dst.planes.reset_shape(batch * seq, seq, abits, /*zero_fill=*/false);
-        const bitops::BitPlanes& q = slot_of(step.in).planes;
-        const bitops::BitPlanes& k = slot_of(step.in2).planes;
-        for (std::int64_t b = 0; b < batch; ++b) {
-          stage_col_slice(tp, q, b * seq, seq, col0, dh, s0.planes);
-          stage_col_slice(tp, k, b * seq, seq, col0, dh, s1.planes);
-          core::ApOperand qop, kop;
-          qop.encoding = Encoding::kUnsigned01;
-          kop.encoding = Encoding::kUnsigned01;
-          qop.planes = std::move(s0.planes);
-          kop.planes = std::move(s1.planes);
-          core::ApmmOptions o;
-          o.autotune = false;
-          o.tile = rb.kern[si].tile;
-          o.collect_profile = prof != nullptr;
-          o.pool = opts_.pool;
-          o.y_out = &s0.dense;  // raw seq x seq scores
-          core::ApmmResult r =
-              core::apmm(qop, kop, dev_, o, core::Epilogue{});
-          if (prof != nullptr) prof->add(r.profile);
-          s0.planes = std::move(qop.planes);
-          s1.planes = std::move(kop.planes);
-          // Scale -> integer softmax -> requantize, in place on the raw
-          // scores (row max is read out before any write), then pack the
-          // sample's row block of the output planes.
-          std::int32_t* scores = s0.dense.data();
-          tp.parallel_for(0, seq, [&](std::int64_t i) {
-            attn_softmax_row(scores + i * seq, seq, shift, abits,
-                             scores + i * seq);
-          }, kRowGrain);
-          pack_codes(tp, scores, seq, seq, abits, dst.planes.planes,
-                     kRowGrain, b * seq);
-        }
-        break;
-      }
-      case StepKind::kAttnContext: {
-        const ApnnStage& st = net_.stages()[step.stage];
-        const AttentionParams& ap = plan.spec.layers[step.layer].attn;
-        const Plan::Value& out = value(step.out);
-        const std::int64_t seq = out.h;
-        const std::int64_t dh = ap.d_head;
-        const std::int64_t col0 = static_cast<std::int64_t>(step.aux) * dh;
-        const int abits = out.bits;
-        parallel::SlabSlot& s0 =
-            slab_.slot(static_cast<std::size_t>(step.scratch_slots[0]));
-        parallel::SlabSlot& s1 =
-            slab_.slot(static_cast<std::size_t>(step.scratch_slots[1]));
-        parallel::SlabSlot& s2 =
-            slab_.slot(static_cast<std::size_t>(step.scratch_slots[2]));
-        parallel::SlabSlot& dst = slot_of(step.out);
-        dst.planes.reset_shape(batch * seq, dh, abits, /*zero_fill=*/false);
-        const bitops::BitPlanes& attn = slot_of(step.in).planes;
-        const bitops::BitPlanes& v = slot_of(step.in2).planes;
-        for (std::int64_t b = 0; b < batch; ++b) {
-          stage_row_block(attn, b * seq, seq, s0.planes);
-          stage_col_slice(tp, v, b * seq, seq, col0, dh, s1.planes);
-          // Word-granular packed transpose: V_h -> V_h^T is the K-major
-          // feature operand of attn x V (replaces the example's old
-          // element-wise transpose loop).
-          layout::transpose_planes(s1.planes, s2.planes);
-          core::ApOperand wop, xop;
-          wop.encoding = Encoding::kUnsigned01;
-          xop.encoding = Encoding::kUnsigned01;
-          wop.planes = std::move(s0.planes);
-          xop.planes = std::move(s2.planes);
-          core::ApmmOptions o;
-          o.autotune = false;
-          o.tile = rb.kern[si].tile;
-          o.collect_profile = prof != nullptr;
-          o.pool = opts_.pool;
-          o.y_out = &s1.dense;  // raw seq x d_head context
-          core::ApmmResult r =
-              core::apmm(wop, xop, dev_, o, core::Epilogue{});
-          if (prof != nullptr) prof->add(r.profile);
-          s0.planes = std::move(wop.planes);
-          s2.planes = std::move(xop.planes);
-          relu_quantize_pack(tp, s1.dense.data(), seq, dh,
-                             st.attn_ctx_quant, dst.planes.planes, b * seq);
-        }
-        break;
-      }
-      case StepKind::kAttnOut: {
-        const ApnnStage& st = net_.stages()[step.stage];
-        const Plan::Value& out = value(step.out);
-        const std::int64_t tokens = batch * out.h;
-        const std::int64_t dh =
-            plan.spec.layers[step.layer].attn.d_head;
-        const int heads = static_cast<int>(step.extra_in.size());
-        const int abits = value(step.extra_in[0]).bits;
-        parallel::SlabSlot& s0 =
-            slab_.slot(static_cast<std::size_t>(step.scratch_slots[0]));
-        // Concatenate the heads' context planes into one token-major
-        // operand (zero fill keeps the word padding honest; copy_bits
-        // writes only each head's column window).
-        s0.planes.reset_shape(tokens, static_cast<std::int64_t>(heads) * dh,
-                              abits, /*zero_fill=*/true);
-        tp.parallel_for(0, tokens, [&](std::int64_t r) {
-          for (int h = 0; h < heads; ++h) {
-            const bitops::BitPlanes& c = slot_of(step.extra_in[h]).planes;
-            for (int t = 0; t < abits; ++t) {
-              bitops::copy_bits(
-                  s0.planes.planes[static_cast<std::size_t>(t)].row(r),
-                  h * dh, c.planes[static_cast<std::size_t>(t)].row(r), 0,
-                  dh);
-            }
-          }
-        }, kRowGrain);
-        core::ApOperand xop;
-        xop.encoding = Encoding::kUnsigned01;
-        xop.planes = std::move(s0.planes);
-        core::ApmmOptions o;
-        o.autotune = false;
-        o.tile = rb.kern[si].tile;
-        o.micro = rb.kern[si].micro;
-        o.combine_fast = rb.kern[si].combine_fast;
-        o.collect_profile = prof != nullptr;
-        o.pool = opts_.pool;
-        o.packed_out = &slot_of(step.out).planes;
-        core::ApmmResult r =
-            core::apmm(st.attn_wo, xop, dev_, o, st.epilogue);
-        if (prof != nullptr) prof->add(r.profile);
-        s0.planes = std::move(xop.planes);
-        break;
-      }
-      case StepKind::kUnpackTokens: {
-        const Plan::Value& out = value(step.out);
-        const bitops::BitPlanes& src = slot_of(step.in).planes;
         parallel::SlabSlot& ds = slot_of(step.out);
-        ds.dense.reset_shape({batch, out.h, out.w, out.c});
-        decode_planes(tp, src.planes, src.bits, batch * out.h * out.w,
+        shape_dense(ds.dense, out);
+        decode_planes(tp, planes_of(step.in), in.bits, batch * out.h * out.w,
                       out.c, ds.dense.data(), false);
         break;
       }

@@ -1,26 +1,20 @@
 // Compiled network execution: InferenceSession (§5 network-level designs as
-// a compile-once / run-many pipeline).
-//
-// ApnnNetwork::forward() used to interpret the layer list on every call:
-// rebuild the stage map, keep every layer's activation alive for the whole
-// pass, run residual adds / standalone ReLU / pool / quantize as serial
-// dense scalar loops, and round-trip packed planes through dense codes on
-// the linear path. An InferenceSession compiles the network once into an
-// ExecutionPlan:
+// a compile-once / run-many pipeline). A session compiles the network once
+// into an ExecutionPlan:
 //
 //  * resolved stage/tail structure — one step list, no per-call spec walk;
+//    every non-conv bit-GEMM (linear layers, attention) is one descriptor-
+//    driven step;
 //  * buffer-lifetime analysis — every intermediate value gets a slot in a
 //    reusable parallel::ActivationSlab (liveness-based slot reuse), and the
 //    apconv/apmm kernels write straight into the slab (y_out / packed_out),
 //    so steady-state forward passes grow no slab and perform a flat
-//    per-run allocation count (the std::function built at each
-//    parallel_for call site and a few small per-kernel vectors — not
-//    buffer churn, and the same at every pool width);
+//    per-run allocation count (a few small per-kernel vectors — not buffer
+//    churn, and the same at every pool width);
 //  * pre-resolved glue ops — residual add, standalone ReLU / pool /
-//    quantize, packing and linear-operand assembly run as word-granular
+//    quantize, packing and GEMM-operand assembly run as word-granular
 //    blocked kernels farmed over the thread pool, operating directly on the
-//    packed/dense slab buffers (no to_dense copy churn, no packed -> dense
-//    recompose round trip on the linear path).
+//    packed/dense slab buffers.
 //
 // The plan is batch-agnostic: per-batch conv geometries and tiles are
 // resolved lazily and cached, so one session serves any request size (the
@@ -149,7 +143,7 @@ class InferenceSession {
 
   /// Resolved per-step kernel choices for `batch` (tuning it first if that
   /// batch has not been seen): one entry per plan step; steps that are not
-  /// conv/linear stages carry default-constructed entries.
+  /// conv or GEMM steps carry default-constructed entries.
   std::vector<core::TunedKernel> stage_kernels(std::int64_t batch);
 
  private:

@@ -40,7 +40,7 @@ constexpr std::size_t kInitialRing = 64;
 /// (`outstanding` == 0), so no helper — dequeued, stolen or stale — can
 /// outlive the frame.
 struct ThreadPool::Loop {
-  const std::function<void(std::int64_t)>* fn = nullptr;
+  const LoopBody* fn = nullptr;
   std::int64_t begin = 0;
   std::int64_t end = 0;
   std::int64_t grain = 1;
@@ -317,8 +317,7 @@ bool ThreadPool::run_one() {
 }
 
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
-                              const std::function<void(std::int64_t)>& fn,
-                              std::int64_t grain) {
+                              LoopBody fn, std::int64_t grain) {
   APNN_CHECK(grain >= 1) << "grain=" << grain;
   if (begin >= end) return;
   const std::int64_t n = end - begin;
@@ -402,8 +401,7 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
+void parallel_for(std::int64_t begin, std::int64_t end, LoopBody fn,
                   std::int64_t grain) {
   ThreadPool::global().parallel_for(begin, end, fn, grain);
 }

@@ -14,14 +14,38 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace apnn {
 
 class ThreadPool;
+
+/// Non-owning reference to a loop body `void(std::int64_t)`: a pointer to the
+/// callable and a pointer to a function that invokes it. Building one never
+/// allocates, whatever the callable captures. The callable must outlive
+/// every call through the reference; a parallel_for argument does, since the
+/// call returns only after the last index has run.
+class LoopBody {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, LoopBody> &&
+             std::is_invocable_v<F&, std::int64_t>)
+  LoopBody(F&& f) noexcept  // implicit: call sites pass lambdas as-is
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, std::int64_t i) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(i);
+        }) {}
+
+  void operator()(std::int64_t i) const { call_(obj_, i); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::int64_t);
+};
 
 /// Registry that lets idle member pools steal queued chunk tasks from busy
 /// siblings. Members register at construction and unregister at destruction;
@@ -105,11 +129,10 @@ class ThreadPool {
   /// Runs fn(i) for i in [begin, end), partitioned into chunks of `grain`
   /// indices, blocking until every index has completed. The calling thread
   /// participates in the work. Rethrows the first task exception. Makes no
-  /// heap allocation of its own: the loop state lives in this call's frame
-  /// and refers to `fn` without copying it, and the helper queue only grows
+  /// heap allocation of its own: `fn` refers to the caller's callable, the
+  /// loop state lives in this call's frame, and the helper queue only grows
   /// when full (once, if at all, for a warmed pool).
-  void parallel_for(std::int64_t begin, std::int64_t end,
-                    const std::function<void(std::int64_t)>& fn,
+  void parallel_for(std::int64_t begin, std::int64_t end, LoopBody fn,
                     std::int64_t grain = 1);
 
   /// Tasks currently sitting in this pool's queue (introspection for tests).
@@ -163,8 +186,7 @@ class ThreadPool {
 };
 
 /// Convenience wrapper over ThreadPool::global().
-void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn,
+void parallel_for(std::int64_t begin, std::int64_t end, LoopBody fn,
                   std::int64_t grain = 1);
 
 }  // namespace apnn

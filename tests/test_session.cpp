@@ -23,9 +23,9 @@
 // Counts every operator-new in the binary. The steady-state tests pin that
 // the number of allocations a run() performs stops changing once the slab
 // and the scratch arenas have reached their high-water marks, at any pool
-// width. The remaining per-run count is constant (the std::function built at
-// each parallel_for call site, a few small per-kernel vectors) and does not
-// depend on worker timing: a parallel_for's loop state lives in the caller's
+// width. The remaining per-run count is constant (a few small per-kernel
+// vectors) and does not depend on worker timing: parallel_for references its
+// body without copying it, its loop state lives in the caller's
 // frame, the caller outlives every helper it queued, and no worker does
 // first-touch setup inside a run. Overriding new/delete is per-binary, so
 // this affects only test_session.
@@ -144,14 +144,81 @@ TEST(Session, CollectsProfilesLikeForward) {
   EXPECT_GT(prof.total_counters().bmma_b1, 0);
 }
 
+Tensor<std::int32_t> random_tokens(std::int64_t b, std::int64_t seq,
+                                   std::int64_t d_model, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor<std::int32_t> in({b, seq, 1, d_model});
+  in.randomize(rng, 0, 255);
+  return in;
+}
+
 TEST(Session, LivenessSharesSlots) {
-  const ModelSpec m = mini_resnet(3, 8, 5);
-  ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 314);
-  net.calibrate(random_input(1, m, 315));
-  InferenceSession session(net, dev());
-  EXPECT_GT(session.step_count(), 0u);
-  // Liveness-based reuse keeps the slab far smaller than one-slot-per-step.
-  EXPECT_LT(session.slot_count(), session.step_count());
+  // Exact plan shapes: the slot count sets the slab's footprint, so a
+  // lowering change that adds a step or a live buffer shows up here.
+  // Liveness-based reuse keeps the slab far smaller than one slot per step.
+  const struct {
+    ModelSpec spec;
+    std::size_t steps, slots;
+  } cases[] = {{mini_resnet(3, 8, 5), 15, 3}, {vgg_lite(16, 6), 8, 3}};
+  for (const auto& c : cases) {
+    ApnnNetwork net = ApnnNetwork::random(c.spec, 1, 2, 314);
+    net.calibrate(random_input(1, c.spec, 315));
+    InferenceSession session(net, dev());
+    EXPECT_EQ(session.step_count(), c.steps) << c.spec.name;
+    EXPECT_EQ(session.slot_count(), c.slots) << c.spec.name;
+  }
+  // Every bucket plan of the attention family has the same shape; the
+  // default plan is the one serving the calibration length.
+  for (const std::int64_t seq : tiny_transformer().seq_buckets) {
+    ModelSpec m = tiny_transformer();
+    m.input.h = seq;
+    ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 316);
+    net.calibrate(random_tokens(1, seq, m.input.c, 317));
+    InferenceSession session(net, dev());
+    EXPECT_EQ(session.step_count(), 20u) << "seq " << seq;
+    EXPECT_EQ(session.slot_count(), 8u) << "seq " << seq;
+  }
+}
+
+TEST(Session, DecodesPackedConvAndFeaturePlanes) {
+  // conv -> BN -> ReLU -> quantize fuses into the conv tail, so the global
+  // pool must decode packed conv planes; fc1's fused ReLU -> quantize emits
+  // feature planes, so the standalone ReLU must decode those. No zoo model
+  // takes either decode path.
+  ModelSpec m;
+  m.name = "decode-paths";
+  m.input = {4, 8, 8};
+  auto add = [&m](LayerKind kind, const char* name) -> LayerSpec& {
+    LayerSpec l;
+    l.kind = kind;
+    l.name = name;
+    m.layers.push_back(l);
+    return m.layers.back();
+  };
+  add(LayerKind::kConv, "conv").conv = {8, 3, 1, 1};
+  add(LayerKind::kBatchNorm, "bn");
+  add(LayerKind::kReLU, "relu");
+  add(LayerKind::kQuantize, "quant");
+  add(LayerKind::kPool, "gap").pool = {core::PoolSpec::Kind::kAvg, 0};
+  add(LayerKind::kLinear, "fc1").out_features = 16;
+  add(LayerKind::kReLU, "fc1.relu");
+  add(LayerKind::kQuantize, "fc1.quant");
+  add(LayerKind::kReLU, "relu2");
+  add(LayerKind::kLinear, "fc2").out_features = 5;
+
+  for (const int wbits : {1, 2}) {
+    ApnnNetwork net = ApnnNetwork::random(m, wbits, 2, 318);
+    net.calibrate(random_input(3, m, 319));
+    InferenceSession session(net, dev());
+    // pack, conv, decode, pool, fc1, decode, relu, fc2
+    EXPECT_EQ(session.step_count(), 8u);
+    EXPECT_EQ(session.slot_count(), 3u);
+    for (const std::int64_t b : {1, 3}) {
+      const auto input = random_input(b, m, 320 + static_cast<unsigned>(b));
+      EXPECT_EQ(session.run(input), net.forward_reference(input))
+          << "w" << wbits << "a2 batch " << b;
+    }
+  }
 }
 
 TEST(Session, RequiresCalibration) {
@@ -284,13 +351,25 @@ TEST(Session, ExplicitPoolWidthsStayAllocationFlat) {
   // workers on a 1-core host. Explicit 2- and 4-wide pools exercise the
   // multi-worker parallel_for path on any host: the slab settles at its
   // high-water mark, the per-run allocation count is flat, results stay
-  // bit-exact, and a warmed parallel_for given a prebuilt body allocates
-  // nothing at all.
+  // bit-exact (conv plans and every bucket of the attention plan family),
+  // and a warmed parallel_for allocates nothing at all, whatever its body
+  // captures.
   const ModelSpec m = mini_resnet(3, 8, 5);
   ApnnNetwork net = ApnnNetwork::random(m, 1, 2, 354);
   const auto input = random_input(4, m, 355);
   net.calibrate(input);
   const Tensor<std::int32_t> expected = net.forward_reference(input);
+
+  const ModelSpec tm = tiny_transformer();
+  ApnnNetwork tnet = ApnnNetwork::random(tm, 2, 2, 356);
+  tnet.calibrate(random_tokens(2, tm.input.h, tm.input.c, 357));
+  std::vector<Tensor<std::int32_t>> tokens, token_refs;
+  for (const std::int64_t seq : tm.seq_buckets) {
+    tokens.push_back(random_tokens(2, seq, tm.input.c,
+                                   358 + static_cast<unsigned>(seq)));
+    token_refs.push_back(tnet.forward_reference(tokens.back()));
+  }
+
   for (const unsigned width : {2u, 4u}) {
     ThreadPool pool(width);
     SessionOptions opts;
@@ -314,29 +393,54 @@ TEST(Session, ExplicitPoolWidthsStayAllocationFlat) {
     EXPECT_EQ(run_a, run_b) << "width " << width;
     EXPECT_EQ(session.slab().capacity_bytes(), settled_capacity);
 
+    InferenceSession tsession(tnet, dev(), opts);
+    for (int warm = 0; warm < 2; ++warm) {
+      for (const auto& in : tokens) tsession.run(in, &logits);
+    }
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
+      tsession.run(tokens[i], &logits);
+      const std::int64_t first = g_allocs.load(std::memory_order_relaxed) -
+                                 before;
+      EXPECT_EQ(logits, token_refs[i])
+          << "width " << width << " seq " << tm.seq_buckets[i];
+      const std::int64_t again = g_allocs.load(std::memory_order_relaxed);
+      tsession.run(tokens[i], &logits);
+      EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - again, first)
+          << "width " << width << " seq " << tm.seq_buckets[i];
+    }
+
     std::atomic<std::int64_t> sum{0};
     const std::function<void(std::int64_t)> body = [&](std::int64_t i) {
       sum += i;
     };
     pool.parallel_for(0, 64, body);  // warm
-    const std::int64_t before = g_allocs.load(std::memory_order_relaxed);
+    std::int64_t before = g_allocs.load(std::memory_order_relaxed);
     pool.parallel_for(0, 64, body);
     EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0)
         << "width " << width;
     EXPECT_EQ(sum.load(), 2 * (63 * 64 / 2));
+
+    // A lambda whose captures overflow std::function's small buffer, passed
+    // as-is: the body is referenced, never copied to the heap.
+    std::int64_t seen_first = 0, seen_last = 0;
+    const auto wide = [&sum, &seen_first, &seen_last, width](std::int64_t i) {
+      sum += i;
+      if (i == 0) seen_first = width;
+      if (i == 63) seen_last = width;
+    };
+    static_assert(sizeof(wide) > 16, "must not fit a small-buffer function");
+    before = g_allocs.load(std::memory_order_relaxed);
+    pool.parallel_for(0, 64, wide);
+    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0)
+        << "width " << width;
+    EXPECT_EQ(seen_first + seen_last, 2 * width);
+    EXPECT_EQ(sum.load(), 3 * (63 * 64 / 2));
   }
 }
 
 
 // --- compiled attention: dynamic-shape plan families ------------------------
-
-Tensor<std::int32_t> random_tokens(std::int64_t b, std::int64_t seq,
-                                   std::int64_t d_model, std::uint64_t seed) {
-  Rng rng(seed);
-  Tensor<std::int32_t> in({b, seq, 1, d_model});
-  in.randomize(rng, 0, 255);
-  return in;
-}
 
 TEST(Session, AttentionMatchesReferenceEveryBucketAndScheme) {
   // The compiled attention plan family must be bit-exact against the dense
