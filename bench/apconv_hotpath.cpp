@@ -106,11 +106,9 @@ layout::PackedActivations materialized_apconv(
 
   // BN / ReLU before pooling (the serial full-output double loop).
   if (epi.has_bn || epi.has_relu) {
-    Epilogue pre = epi;
-    pre.has_quant = false;
     for (std::int64_t m = 0; m < geom.m; ++m) {
       for (std::int64_t col = 0; col < geom.n; ++col) {
-        y32(m, col) = pre.apply(y32(m, col), m);
+        y32(m, col) = epi.apply(y32(m, col), m);
       }
     }
   }

@@ -189,12 +189,7 @@ Tensor<std::int32_t> hand_forward(const ApnnNetwork& net,
         Tensor<std::int32_t> out({b, l.out_features});
         for (std::int64_t n = 0; n < b; ++n) {
           for (std::int64_t o = 0; o < l.out_features; ++o) {
-            std::int32_t val = y(o, n);
-            if (st.epilogue.has_bn || st.epilogue.has_relu) {
-              core::Epilogue pre = st.epilogue;
-              pre.has_quant = false;
-              val = pre.apply(val, o);
-            }
+            std::int32_t val = st.epilogue.apply(y(o, n), o);
             if (st.epilogue.has_quant) {
               val = quant::quantize_value(static_cast<float>(val),
                                           st.epilogue.quant);

@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
   const core::TunedKernel winner =
       tuner.tune_apmm(w, n, q, enc.x, core::Epilogue{}, /*seq=*/0, &trace);
 
-  std::printf("%-10s %8s %9s %6s %12s\n", "tile", "strip", "staging", "fast",
-              "wall");
+  std::printf("%-10s %8s %9s %6s %12s\n", "tile", "strip", "staging",
+              "sparse", "wall");
   for (const auto& c : trace) {
     const char* staging =
         c.cfg.micro.staging ==
@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
     std::printf("%-10s %8lld %9s %6d %10.3fms %s\n",
                 strf("%dx%d", c.cfg.tile.bm, c.cfg.tile.bn).c_str(),
                 static_cast<long long>(c.cfg.micro.effective_strip()),
-                staging, c.cfg.combine_fast ? 1 : 0, c.cfg.measured_ms,
+                staging, static_cast<int>(c.cfg.micro.sparse_staging),
+                c.cfg.measured_ms,
                 c.cfg.same_config(winner) ? "  <-- measured winner" : "");
   }
   std::printf("\nheuristic proposes (ranked by TLP, then CI — §4.3.2); the\n"

@@ -22,12 +22,10 @@ ApmmOptions as_apmm_options(const ApconvOptions& o) {
   ApmmOptions a;
   a.autotune = false;  // tile already resolved by apconv
   a.micro = o.micro;
-  a.combine_fast = o.combine_fast;
   a.batch_planes = o.batch_planes;
   a.double_caching = o.double_caching;
   a.fragment_caching = o.fragment_caching;
   a.semantic_aware = o.semantic_aware;
-  a.mode = o.mode;
   a.pool = o.pool;
   a.sparsity_stats = o.sparsity_stats;
   return a;
@@ -81,14 +79,15 @@ tcsim::KernelProfile epilogue_kernel_profile(std::int64_t elems,
 ///   2 * popc(W_row & pad_mask) - popc(pad_mask)
 /// shared across the batch; the table is indexed [m * oh*ow + oy*ow + ox]
 /// and is zero at interior positions (most of it, so the build parallelizes
-/// over positions and skips the pad-free ones).
-std::vector<std::int32_t> build_case2_correction(
-    const ApOperand& w, const layout::ConvGeometry& g, ThreadPool& tp) {
+/// over positions and skips the pad-free ones). `corr` is reused storage:
+/// once it has grown to the largest table, rebuilding allocates nothing.
+void build_case2_correction(const ApOperand& w,
+                            const layout::ConvGeometry& g, ThreadPool& tp,
+                            std::vector<std::int32_t>& corr) {
   const bitops::BitMatrix& w0 = w.planes.plane(0);
   const std::int64_t row_words = w0.row_words();
   const std::int64_t oh = g.out_h(), ow = g.out_w();
-  std::vector<std::int32_t> corr(
-      static_cast<std::size_t>(g.out_c * oh * ow), 0);
+  corr.assign(static_cast<std::size_t>(g.out_c * oh * ow), 0);
   tp.parallel_for(0, oh * ow, [&](std::int64_t pos) {
     const std::int64_t oy = pos / ow, ox = pos % ow;
     // Mask scratch comes from the worker's arena (pointer bump, no heap
@@ -121,7 +120,6 @@ std::vector<std::int32_t> build_case2_correction(
           static_cast<std::int32_t>(2 * ones - npad);
     }
   }, /*grain=*/ow);
-  return corr;
 }
 
 }  // namespace
@@ -286,65 +284,65 @@ ApconvResult apconv(const ApOperand& w, const layout::PackedActivations& x,
   }
 
   // --- Functional execution -------------------------------------------
-  if (opts.mode == ExecMode::kFull) {
-    // Im2col-free fused path: no patch matrix is ever materialized — the
-    // microkernel's staging layer window-gathers each B-panel k-strip
-    // straight from the packed feature-map planes, and the whole
-    // BN -> ReLU -> pool -> quantize tail runs inside each block's epilogue.
-    // Blocks are aligned to whole pooling windows (window-major column
-    // order) so a window never straddles blocks; this functional geometry
-    // does not alter the launch records above, which model the nominal
-    // tiling.
-    const std::int64_t win = pool.active() ? pool.size : 1;
-    internal::BatchedGeometry fgeom = internal::make_geometry(
-        g.gemm_m(), g.gemm_n(), g.gemm_k(), w.bits(), x.bits, tile,
-        win * win);
-    fgeom.micro = opts.micro;
-    fgeom.combine_fast = opts.combine_fast;
-    fgeom.pool = opts.pool;
-    fgeom.sparsity = opts.sparsity_stats;
+  // Im2col-free fused path: no patch matrix is ever materialized — the
+  // microkernel's staging layer window-gathers each B-panel k-strip
+  // straight from the packed feature-map planes, and the whole
+  // BN -> ReLU -> pool -> quantize tail runs inside each block's epilogue.
+  // Blocks are aligned to whole pooling windows (window-major column
+  // order) so a window never straddles blocks; this functional geometry
+  // does not alter the launch records above, which model the nominal
+  // tiling.
+  const std::int64_t win = pool.active() ? pool.size : 1;
+  internal::BatchedGeometry fgeom = internal::make_geometry(
+      g.gemm_m(), g.gemm_n(), g.gemm_k(), w.bits(), x.bits, tile,
+      win * win);
+  fgeom.micro = opts.micro;
+  fgeom.pool = opts.pool;
+  fgeom.sparsity = opts.sparsity_stats;
 
-    std::vector<std::int32_t> corr;
-    if (sel.kind == EmulationCase::kCaseII && g.pad > 0) {
-      corr = build_case2_correction(
-          w, g, opts.pool != nullptr ? *opts.pool : ThreadPool::global());
-    }
+  // Per-thread storage the border table is rebuilt into every call, so a
+  // steady-state caller allocates nothing for it.
+  thread_local std::vector<std::int32_t> corr;
+  const bool corrected = sel.kind == EmulationCase::kCaseII && g.pad > 0;
+  if (corrected) {
+    build_case2_correction(
+        w, g, opts.pool != nullptr ? *opts.pool : ThreadPool::global(), corr);
+  }
 
-    internal::FeatureSource src;
-    src.fmap = &x;
-    src.conv = &g;
-    src.pad_one = pad_one;
-    src.pool_win = static_cast<int>(win);
-    src.encoding = x_enc;
-    src.bits = x.bits;
+  internal::FeatureSource src;
+  src.fmap = &x;
+  src.conv = &g;
+  src.pad_one = pad_one;
+  src.pool_win = static_cast<int>(win);
+  src.encoding = x_enc;
+  src.bits = x.bits;
 
-    internal::ConvTail tail;
-    tail.g = &g;
-    tail.pool = pool;
-    tail.corr = corr.empty() ? nullptr : corr.data();
+  internal::ConvTail tail;
+  tail.g = &g;
+  tail.pool = pool;
+  tail.corr = corrected ? corr.data() : nullptr;
 
-    const std::int64_t pooled_cols = g.batch * pooled_h * pooled_w;
-    if (epi.has_quant) {
-      layout::PackedActivations* dst =
-          opts.packed_out != nullptr ? opts.packed_out : &res.packed;
-      dst->reset_shape(g.batch, pooled_h, pooled_w, geom.m, epi.quant.bits);
-      // run_batched_compute's packed sink is a BitPlanes; lend it the
-      // destination's plane storage (vector moves, no data copies).
-      bitops::BitPlanes planes;
-      planes.rows = pooled_cols;
-      planes.cols = geom.m;
-      planes.bits = epi.quant.bits;
-      planes.planes = std::move(dst->planes);
-      internal::run_batched_compute(w, src, sel, fgeom, epi, tail, nullptr,
-                                    &planes);
-      dst->planes = std::move(planes.planes);
-    } else {
-      Tensor<std::int32_t>* dst =
-          opts.y_out != nullptr ? opts.y_out : &res.y;
-      dst->reset_shape({g.batch, pooled_h, pooled_w, geom.m});
-      internal::run_batched_compute(w, src, sel, fgeom, epi, tail, dst,
-                                    nullptr);
-    }
+  const std::int64_t pooled_cols = g.batch * pooled_h * pooled_w;
+  if (epi.has_quant) {
+    layout::PackedActivations* dst =
+        opts.packed_out != nullptr ? opts.packed_out : &res.packed;
+    dst->reset_shape(g.batch, pooled_h, pooled_w, geom.m, epi.quant.bits);
+    // run_batched_compute's packed sink is a BitPlanes; lend it the
+    // destination's plane storage (vector moves, no data copies).
+    bitops::BitPlanes planes;
+    planes.rows = pooled_cols;
+    planes.cols = geom.m;
+    planes.bits = epi.quant.bits;
+    planes.planes = std::move(dst->planes);
+    internal::run_batched_compute(w, src, sel, fgeom, epi, tail, nullptr,
+                                  &planes);
+    dst->planes = std::move(planes.planes);
+  } else {
+    Tensor<std::int32_t>* dst =
+        opts.y_out != nullptr ? opts.y_out : &res.y;
+    dst->reset_shape({g.batch, pooled_h, pooled_w, geom.m});
+    internal::run_batched_compute(w, src, sel, fgeom, epi, tail, dst,
+                                  nullptr);
   }
   return res;
 }

@@ -39,7 +39,6 @@ struct ApconvOptions {
 
   /// Host-microkernel execution knobs; see ApmmOptions::micro.
   microkernel::MicroConfig micro;
-  bool combine_fast = true;
 
   bool batch_planes = true;
   bool double_caching = true;
@@ -49,8 +48,6 @@ struct ApconvOptions {
   /// Fuse BN/ReLU/pool/quantize into the conv kernel (true) or launch them
   /// as separate kernels (false) — the Fig. 10 comparison.
   bool fuse_epilogue = true;
-
-  ExecMode mode = ExecMode::kFull;
 
   /// Caller-provided output storage (e.g. an InferenceSession slab slot):
   /// when set, the corresponding result is written here — the buffer is
@@ -75,7 +72,7 @@ struct ApconvOptions {
 
 struct ApconvResult {
   /// Post-pool NHWC int32 output {N, OH', OW', Cout}; empty when the
-  /// epilogue quantizes (then `packed` is set) or in profile-only mode.
+  /// epilogue quantizes (then `packed` is set).
   Tensor<std::int32_t> y;
 
   /// Quantized output as channel-major packed activations, ready for the

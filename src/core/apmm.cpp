@@ -41,7 +41,6 @@ ApmmResult apmm(const ApOperand& w, const ApOperand& x,
   res.tile = tile;
   BatchedGeometry g = internal::make_geometry(w, x, tile);
   g.micro = opts.micro;
-  g.combine_fast = opts.combine_fast;
   g.pool = opts.pool;
   g.sparsity = opts.sparsity_stats;
 
@@ -56,18 +55,16 @@ ApmmResult apmm(const ApOperand& w, const ApOperand& x,
   }
 
   // --- Functional execution -------------------------------------------
-  if (opts.mode == ExecMode::kFull) {
-    Tensor<std::int32_t>* y = &res.y;
-    bitops::BitPlanes* packed = &res.packed;
-    if (epi.has_quant) {
-      if (opts.packed_out != nullptr) packed = opts.packed_out;
-      packed->reset_shape(g.n, g.m, epi.quant.bits);
-    } else {
-      if (opts.y_out != nullptr) y = opts.y_out;
-      y->reset_shape({g.m, g.n});
-    }
-    internal::run_batched_compute(w, x, sel, g, epi, y, packed);
+  Tensor<std::int32_t>* y = &res.y;
+  bitops::BitPlanes* packed = &res.packed;
+  if (epi.has_quant) {
+    if (opts.packed_out != nullptr) packed = opts.packed_out;
+    packed->reset_shape(g.n, g.m, epi.quant.bits);
+  } else {
+    if (opts.y_out != nullptr) y = opts.y_out;
+    y->reset_shape({g.m, g.n});
   }
+  internal::run_batched_compute(w, x, sel, g, epi, y, packed);
   return res;
 }
 

@@ -36,11 +36,6 @@ class ThreadPool;
 
 namespace apnn::core {
 
-/// Full emulation computes results and counters; profile-only walks the same
-/// launch structure but skips the math (used for large latency sweeps — the
-/// counters are identical by construction).
-enum class ExecMode { kFull, kProfileOnly };
-
 struct ApmmOptions {
   /// Tile selection: when autotune is true (default) the §4.3.2 heuristic
   /// picks bm/bn; otherwise `tile` is used as given.
@@ -48,12 +43,10 @@ struct ApmmOptions {
   TileConfig tile;
   double tlp_threshold = 64.0;
 
-  /// Host-microkernel execution knobs (k-strip depth, staging variant) and
-  /// the p=q=1 identity combine fast path. Results are bit-identical for
-  /// every setting; core::Autotuner measures candidates per stage and bakes
-  /// the fastest into the session plan.
+  /// Host-microkernel execution knobs (k-strip depth, staging variant).
+  /// Results are bit-identical for every setting; core::Autotuner measures
+  /// candidates per stage and bakes the fastest into the session plan.
   microkernel::MicroConfig micro;
-  bool combine_fast = true;
 
   /// §4.1a batch strategy: one virtually batched BMMA vs p*q independent
   /// BMMA launches (the "existing BMMA kernels" baseline).
@@ -71,8 +64,6 @@ struct ApmmOptions {
   /// plane partials vs writing p*q partial matrices to global memory and
   /// combining in a second kernel.
   bool semantic_aware = true;
-
-  ExecMode mode = ExecMode::kFull;
 
   /// Caller-provided output storage (e.g. an InferenceSession slab slot):
   /// when set, the corresponding result is written here — the buffer is
@@ -99,7 +90,7 @@ struct ApmmOptions {
 };
 
 struct ApmmResult {
-  /// Final 32-bit output, M x N. Empty in profile-only mode.
+  /// Final 32-bit output, M x N. Empty when the epilogue quantizes.
   Tensor<std::int32_t> y;
 
   /// When the epilogue quantizes: the packed activation planes, transposed

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
+#include <vector>
 
 #include "src/core/microkernel.hpp"
 #include "src/layout/im2col.hpp"
@@ -149,29 +151,16 @@ tcsim::KernelProfile combine_kernel_profile(const BatchedGeometry& g,
 
 namespace {
 
-/// Combines the raw popc partials of one output element (all p*q plane
-/// pairs) into the integer dot product. `raw_row` points at the element's
-/// first plane row (raw + (mo*p)*vtn8 + no*q).
-inline std::int64_t combine_element(const BatchedGeometry& g,
-                                    const OpSelection& sel,
-                                    const std::int32_t* raw_row,
-                                    const std::int64_t* wmult,
-                                    const std::int64_t* xmult,
-                                    const std::int64_t* xpopc_col,
-                                    std::uint32_t elide_w,
-                                    std::uint32_t elide_x) {
-  std::int64_t acc = 0;
-  for (int s = 0; s < g.p; ++s) {
-    if ((elide_w >> s) & 1) continue;  // term exactly zero (see elision rules)
-    const std::int32_t* prow = raw_row + s * g.vtn8;
-    for (int t = 0; t < g.q; ++t) {
-      if ((elide_x >> t) & 1) continue;
-      const std::int64_t xp = xpopc_col != nullptr ? xpopc_col[t] : 0;
-      acc += wmult[s] * xmult[t] *
-             finalize_partial(sel.kind, prow[t], g.k, xp);
-    }
+/// Grow-only per-thread storage for the driver's pre-block passes: it
+/// settles at the largest call the thread has driven, so a steady-state
+/// caller allocates nothing here. The contents are not zeroed. Per-thread
+/// is enough because no block body re-enters the driver.
+template <typename T>
+T* grow_only(std::vector<T>& store, std::int64_t count) {
+  if (store.size() < static_cast<std::size_t>(count)) {
+    store.resize(static_cast<std::size_t>(count));
   }
-  return acc;
+  return store.data();
 }
 
 }  // namespace
@@ -191,6 +180,18 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
                          const OpSelection& sel, const BatchedGeometry& g,
                          const Epilogue& epi, const ConvTail& tail,
                          Tensor<std::int32_t>* y, bitops::BitPlanes* packed) {
+  // 16 is the plane-count ceiling enforced by bitops::decompose /
+  // layout::pack_activations.
+  APNN_DCHECK(g.p <= 16 && g.q <= 16) << "p=" << g.p << " q=" << g.q;
+  // The row combine accumulates in int32. Every partial sum is bounded by
+  // sum|wmult| * sum|xmult| * k = (2^p - 1)(2^q - 1) k, so a shape within
+  // that bound can never overflow.
+  APNN_CHECK(g.k <= std::numeric_limits<std::int32_t>::max() /
+                        (((std::int64_t{1} << g.p) - 1) *
+                         ((std::int64_t{1} << g.q) - 1)))
+      << "w" << g.p << "a" << g.q << " product with k=" << g.k
+      << " can overflow the int32 accumulator";
+
   // Whole-plane elision (the plane-level sparse fast path): a bit-plane
   // whose payload is entirely zero contributes an exactly-zero term and is
   // dropped from the combine and the Case-III popcount pass. Rules:
@@ -240,29 +241,32 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
   // window-gathered operand the patch row never exists, but its popcount is
   // the sum of the in-frame channel-slab popcounts (§4.2b pads 0 here, so
   // padding taps contribute nothing).
-  std::vector<std::int64_t> xpopc;
+  thread_local std::vector<std::int64_t> xpopc_store;
+  thread_local std::vector<std::int32_t> slab_popc_store;
+  const std::int64_t* xpopc = nullptr;
   if (sel.kind == EmulationCase::kCaseIII) {
-    xpopc.resize(static_cast<std::size_t>(g.n * g.q));
+    std::int64_t* xp = grow_only(xpopc_store, g.n * g.q);
+    xpopc = xp;
     if (x.window_gather()) {
       // Two stages: popc of each spatial position's C-bit slab once per
       // plane, then per column a pure-integer sum over its in-frame taps.
       const layout::ConvGeometry& cg = *x.conv;
       const std::int64_t spatial = cg.batch * cg.in_h * cg.in_w;
-      std::vector<std::int32_t> slab_popc(
-          static_cast<std::size_t>(spatial * g.q));
+      std::int32_t* slab_popc = grow_only(slab_popc_store, spatial * g.q);
       geometry_pool(g).parallel_for(0, spatial, [&](std::int64_t r) {
         for (int t = 0; t < g.q; ++t) {
-          if ((elide_x >> t) & 1) continue;  // plane is zero: popc stays 0
-          slab_popc[static_cast<std::size_t>(r * g.q + t)] =
-              static_cast<std::int32_t>(
-                  x.fmap->planes[static_cast<std::size_t>(t)]
-                      .row_popcount(r));
+          slab_popc[r * g.q + t] =
+              ((elide_x >> t) & 1)  // plane is zero: so is its popc
+                  ? 0
+                  : static_cast<std::int32_t>(
+                        x.fmap->planes[static_cast<std::size_t>(t)]
+                            .row_popcount(r));
         }
       }, /*grain=*/256);
       geometry_pool(g).parallel_for(0, g.n, [&](std::int64_t j) {
         const layout::OutPos pos =
             layout::conv_col_position(cg, j, x.pool_win);
-        std::int64_t* out = xpopc.data() + j * g.q;
+        std::int64_t* out = xp + j * g.q;
         for (int t = 0; t < g.q; ++t) out[t] = 0;
         for (int kh = 0; kh < cg.kernel; ++kh) {
           const std::int64_t ih = pos.oy * cg.stride + kh - cg.pad;
@@ -271,8 +275,7 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
             const std::int64_t iw = pos.ox * cg.stride + kw - cg.pad;
             if (iw < 0 || iw >= cg.in_w) continue;
             const std::int32_t* sp =
-                slab_popc.data() +
-                ((pos.n * cg.in_h + ih) * cg.in_w + iw) * g.q;
+                slab_popc + ((pos.n * cg.in_h + ih) * cg.in_w + iw) * g.q;
             for (int t = 0; t < g.q; ++t) out[t] += sp[t];
           }
         }
@@ -280,24 +283,34 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
     } else {
       geometry_pool(g).parallel_for(0, g.n, [&](std::int64_t j) {
         for (int t = 0; t < g.q; ++t) {
-          if ((elide_x >> t) & 1) continue;  // resize() zero-filled the slot
-          xpopc[static_cast<std::size_t>(j * g.q + t)] =
-              x.planes->plane(t).row_popcount(j);
+          xp[j * g.q + t] = ((elide_x >> t) & 1)
+                                ? 0
+                                : x.planes->plane(t).row_popcount(j);
         }
       }, /*grain=*/256);
     }
   }
 
   // Plane combination multipliers.
-  std::vector<std::int64_t> wmult(static_cast<std::size_t>(g.p));
-  std::vector<std::int64_t> xmult(static_cast<std::size_t>(g.q));
+  std::int64_t wmult[16], xmult[16];
   for (int s = 0; s < g.p; ++s) {
-    wmult[static_cast<std::size_t>(s)] = plane_multiplier(w.encoding, s, g.p);
+    wmult[s] = plane_multiplier(w.encoding, s, g.p);
   }
   for (int t = 0; t < g.q; ++t) {
-    xmult[static_cast<std::size_t>(t)] = plane_multiplier(x.encoding, t, g.q);
+    xmult[t] = plane_multiplier(x.encoding, t, g.q);
   }
 
+  // Block epilogue geometry. A conv tail pools win x win windows of
+  // contiguous columns and stores NHWC (channel innermost); without one
+  // (APMM) the window is 1 and the dense output is row-major M x N. The
+  // packed sink is the same for both: row = output position, bit = channel.
+  const layout::ConvGeometry* cg = tail.g;
+  const std::int64_t win = tail.pool.active() ? tail.pool.size : 1;
+  const std::int64_t wsz = win * win;
+  const bool max_pool = tail.pool.kind == PoolSpec::Kind::kMax;
+  const std::int64_t y_row_stride = cg != nullptr ? 1 : g.n;
+  const std::int64_t y_col_stride = cg != nullptr ? cg->out_c : 1;
+  const bool pre_active = epi.has_bn || epi.has_relu;
   const int qbits = epi.has_quant ? epi.quant.bits : 0;
 
   geometry_pool(g).parallel_for(0, g.blocks, [&](std::int64_t b) {
@@ -356,331 +369,219 @@ void run_batched_compute(const ApOperand& w, const FeatureSource& x,
     microkernel::block_bitgemm(sel.bit_op, wrows, g.vtm8, bsrc, g.row_words,
                                raw, arena, g.micro, g.sparsity);
 
-    // Fused conv tail: correction -> BN/ReLU -> pool -> quantize/store, all
-    // inside the block (no full-output pass exists downstream). The walk is
-    // m-outer so `raw` is read row-major (the same cache-friendly order as
-    // the APMM combine); the pool windows of all the block's columns are
-    // reduced per output row.
-    if (tail.active()) {
-      const layout::ConvGeometry& cg = *tail.g;
-      const std::int64_t oh = cg.out_h(), ow = cg.out_w();
-      const std::int64_t win = tail.pool.active() ? tail.pool.size : 1;
-      const std::int64_t wsz = win * win;
-      const bool max_pool = tail.pool.kind == PoolSpec::Kind::kMax;
-      APNN_DCHECK(n0 % wsz == 0 && n_end % wsz == 0)
-          << "conv blocks must be pool-window aligned (make_geometry "
-             "col_align)";
-      const std::int64_t cols = n_end - n0;
-      const std::int64_t nwin = cols / wsz;
-      const bool pre_active = epi.has_bn || epi.has_relu;
+    // Block epilogue: combine -> correction -> BN/ReLU -> pool ->
+    // quantize/store, all inside the block (no full-output pass exists
+    // downstream). The walk is m-outer so `raw` is read row-major; the pool
+    // windows of all the block's columns are reduced per output row.
+    APNN_DCHECK(n0 % wsz == 0 && n_end % wsz == 0)
+        << "conv blocks must be pool-window aligned (make_geometry "
+           "col_align)";
+    const std::int64_t cols = n_end - n0;
+    const std::int64_t nwin = cols / wsz;
 
-      // Per-column index of the Case-II correction entry, hoisted out of
-      // the m loop (the mapping depends only on the column).
-      const std::int32_t* corr_idx = nullptr;
-      if (tail.corr != nullptr) {
-        std::int32_t* idx = arena.get<std::int32_t>(cols);
-        for (std::int64_t no = 0; no < cols; ++no) {
-          const layout::OutPos pos = layout::conv_col_position(
-              cg, n0 + no, static_cast<int>(win));
-          idx[no] = static_cast<std::int32_t>(pos.oy * ow + pos.ox);
-        }
-        corr_idx = idx;
+    // Per-column index of the Case-II correction entry, hoisted out of the
+    // m loop (the mapping depends only on the column).
+    const std::int32_t* corr_idx = nullptr;
+    if (tail.corr != nullptr) {
+      std::int32_t* idx = arena.get<std::int32_t>(cols);
+      for (std::int64_t no = 0; no < cols; ++no) {
+        const layout::OutPos pos = layout::conv_col_position(
+            *cg, n0 + no, static_cast<int>(win));
+        idx[no] = static_cast<std::int32_t>(pos.oy * cg->out_w() + pos.ox);
       }
-
-      // Quantized output: bits land at columns [m0, m_end) of the packed
-      // rows this block's windows map to; spans sharing 64-bit words with
-      // horizontally adjacent blocks are merged with one atomic OR per
-      // touched word (§4.1b repack). The m-outer walk accumulates all the
-      // block's window masks and publishes them once at the end.
-      const std::int64_t w_lo = m0 >> 6;
-      const std::int64_t w_hi = (m_end - 1) >> 6;
-      const std::int64_t nw = w_hi - w_lo + 1;
-      std::uint64_t* masks = nullptr;
-      if (qbits > 0) {
-        masks = arena.get<std::uint64_t>(nwin * qbits * nw);
-        std::fill_n(masks, nwin * qbits * nw, 0);
-      }
-
-      // One combined output row at a time, in four flat vectorizable
-      // passes over an L1-resident row buffer — the host analogue of the
-      // in-SHMEM plane reduction followed by the in-register epilogue:
-      //   (1) per-(s,t) specialized bit combination (case switch hoisted
-      //       out of the element loop),
-      //   (2) border correction + BN/ReLU with the channel's scale/bias
-      //       held in scalars,
-      //   (3) pooling over the win² *contiguous* columns of each window
-      //       (the window-major column order makes them adjacent),
-      //   (4) quantize + mask build, or the dense NHWC store.
-      std::int32_t* yrow = arena.get<std::int32_t>(cols);
-      const auto k32 = static_cast<std::int32_t>(g.k);
-      for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
-        const std::int64_t m = m0 + mo;
-        std::fill_n(yrow, cols, 0);
-        for (int s = 0; s < g.p && !all_x_elided; ++s) {
-          if ((elide_w >> s) & 1) continue;  // whole-plane term is zero
-          const std::int32_t* pr = raw + (mo * g.p + s) * g.vtn8;
-          const std::int64_t ws = wmult[static_cast<std::size_t>(s)];
-          // 16 is the plane-count ceiling enforced by bitops::decompose /
-          // layout::pack_activations.
-          APNN_DCHECK(g.q <= 16) << "q=" << g.q;
-          std::int32_t mult[16];
-          for (int t = 0; t < g.q; ++t) {
-            mult[t] = static_cast<std::int32_t>(
-                ws * xmult[static_cast<std::size_t>(t)]);
-          }
-          // All q plane partials of a column sit adjacent in `pr`, so each
-          // pass reads contiguously; q = 1 (the BNN case) and q = 2 (the
-          // dominant w1a2 stages) get flat unrolled maps.
-          switch (sel.kind) {
-            case EmulationCase::kCaseI:
-              if (g.q == 1) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] += mult[0] * pr[no];
-                }
-              } else if (g.q == 2) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] +=
-                      mult[0] * pr[no * 2] + mult[1] * pr[no * 2 + 1];
-                }
-              } else {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  const std::int32_t* pp = pr + no * g.q;
-                  std::int32_t acc = 0;
-                  for (int t = 0; t < g.q; ++t) {
-                    if ((elide_x >> t) & 1) continue;
-                    acc += mult[t] * pp[t];
-                  }
-                  yrow[no] += acc;
-                }
-              }
-              break;
-            case EmulationCase::kCaseII:
-              if (g.q == 1) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] += mult[0] * (k32 - 2 * pr[no]);
-                }
-              } else {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  const std::int32_t* pp = pr + no * g.q;
-                  std::int32_t acc = 0;
-                  for (int t = 0; t < g.q; ++t) {
-                    acc += mult[t] * (k32 - 2 * pp[t]);
-                  }
-                  yrow[no] += acc;
-                }
-              }
-              break;
-            case EmulationCase::kCaseIII: {
-              const std::int64_t* xp = xpopc.data() + n0 * g.q;
-              if (g.q == 1) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] += mult[0] * (2 * pr[no] -
-                                         static_cast<std::int32_t>(xp[no]));
-                }
-              } else if (g.q == 2) {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  yrow[no] +=
-                      mult[0] * (2 * pr[no * 2] -
-                                 static_cast<std::int32_t>(xp[no * 2])) +
-                      mult[1] * (2 * pr[no * 2 + 1] -
-                                 static_cast<std::int32_t>(xp[no * 2 + 1]));
-                }
-              } else {
-                for (std::int64_t no = 0; no < cols; ++no) {
-                  const std::int32_t* pp = pr + no * g.q;
-                  const std::int64_t* xpp = xp + no * g.q;
-                  std::int32_t acc = 0;
-                  for (int t = 0; t < g.q; ++t) {
-                    if ((elide_x >> t) & 1) continue;
-                    acc += mult[t] *
-                           (2 * pp[t] - static_cast<std::int32_t>(xpp[t]));
-                  }
-                  yrow[no] += acc;
-                }
-              }
-              break;
-            }
-          }
-        }
-        if (corr_idx != nullptr) {
-          const std::int32_t* mcorr = tail.corr + m * oh * ow;
-          for (std::int64_t no = 0; no < cols; ++no) {
-            yrow[no] -= mcorr[corr_idx[no]];
-          }
-        }
-        if (pre_active) {
-          // Identical float arithmetic to Epilogue::apply with the per-
-          // channel parameters hoisted (x*1+0 is exact, so the hoisted
-          // form also covers the BN-less ReLU).
-          const float scale =
-              epi.has_bn ? epi.bn.scale[static_cast<std::size_t>(m)] : 1.0f;
-          const float bias =
-              epi.has_bn ? epi.bn.bias[static_cast<std::size_t>(m)] : 0.0f;
-          if (epi.has_relu) {
-            for (std::int64_t no = 0; no < cols; ++no) {
-              const float v = static_cast<float>(yrow[no]) * scale + bias;
-              yrow[no] = static_cast<std::int32_t>(v < 0.0f ? 0.0f : v);
-            }
-          } else {
-            for (std::int64_t no = 0; no < cols; ++no) {
-              yrow[no] = static_cast<std::int32_t>(
-                  static_cast<float>(yrow[no]) * scale + bias);
-            }
-          }
-        }
-        if (wsz > 1) {
-          if (max_pool) {
-            for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-              const std::int32_t* src = yrow + wloc * wsz;
-              std::int32_t agg = src[0];
-              for (std::int64_t e = 1; e < wsz; ++e) {
-                agg = std::max(agg, src[e]);
-              }
-              yrow[wloc] = agg;
-            }
-          } else {
-            for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-              const std::int32_t* src = yrow + wloc * wsz;
-              std::int64_t agg = 0;
-              for (std::int64_t e = 0; e < wsz; ++e) agg += src[e];
-              // The device epilogue truncates the average (see PoolSpec).
-              yrow[wloc] = static_cast<std::int32_t>(agg / wsz);
-            }
-          }
-        }
-        if (qbits > 0) {
-          const std::int64_t wi = (m >> 6) - w_lo;
-          const std::uint64_t bit = std::uint64_t{1} << (m & 63);
-          for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-            const std::int32_t code = quant::quantize_value(
-                static_cast<float>(yrow[wloc]), epi.quant);
-            for (int plane = 0; plane < qbits; ++plane) {
-              if ((code >> plane) & 1) {
-                masks[(wloc * qbits + plane) * nw + wi] |= bit;
-              }
-            }
-          }
-        } else {
-          const std::int64_t widx0 = n0 / wsz;
-          std::int32_t* dst = y->data() + widx0 * cg.out_c + m;
-          for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-            dst[wloc * cg.out_c] = yrow[wloc];
-          }
-        }
-      }
-      if (qbits > 0) {
-        for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
-          const std::int64_t widx = (n0 + wloc * wsz) / wsz;
-          for (int plane = 0; plane < qbits; ++plane) {
-            std::uint64_t* row =
-                packed->planes[static_cast<std::size_t>(plane)].row(widx) +
-                w_lo;
-            for (std::int64_t wwi = 0; wwi < nw; ++wwi) {
-              const std::uint64_t mask =
-                  masks[(wloc * qbits + plane) * nw + wwi];
-              if (mask != 0) {
-                std::atomic_ref<std::uint64_t>(row[wwi]).fetch_or(
-                    mask, std::memory_order_relaxed);
-              }
-            }
-          }
-        }
-      }
-      return;
+      corr_idx = idx;
     }
 
-    // Bit combination + epilogue for the block's output elements.
-    if (!epi.has_quant) {
-      const bool fast =
-          g.combine_fast && g.p == 1 && g.q == 1 && epi.identity();
-      const std::int64_t cols = n_end - n0;
-      for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
-        const std::int64_t m = m0 + mo;
-        const std::int32_t* raw_row = raw + (mo * g.p) * g.vtn8;
-        std::int32_t* yrow = y->data() + m * g.n + n0;
-        if (fast) {
-          if ((elide_w | elide_x) != 0) {
-            // p = q = 1 and the single plane pair has an elided side: every
-            // term is exactly zero (elision never applies under Case II).
-            std::fill_n(yrow, cols, 0);
-            continue;
-          }
-          // Single-plane identity combine: a branch-free elementwise map the
-          // compiler vectorizes (the p*q loop nest and the float epilogue
-          // round trip cost more than the bit kernel for 1-bit operands).
-          const auto mult = static_cast<std::int32_t>(wmult[0] * xmult[0]);
-          const auto k32 = static_cast<std::int32_t>(g.k);
-          switch (sel.kind) {
-            case EmulationCase::kCaseI:
-              for (std::int64_t no = 0; no < cols; ++no) {
-                yrow[no] = mult * raw_row[no];
-              }
-              break;
-            case EmulationCase::kCaseII:
-              for (std::int64_t no = 0; no < cols; ++no) {
-                yrow[no] = mult * (k32 - 2 * raw_row[no]);
-              }
-              break;
-            case EmulationCase::kCaseIII:
-              for (std::int64_t no = 0; no < cols; ++no) {
-                const auto xp =
-                    static_cast<std::int32_t>(xpopc[(n0 + no) * g.q]);
-                yrow[no] = mult * (2 * raw_row[no] - xp);
-              }
-              break;
-          }
-          continue;
-        }
-        for (std::int64_t no = 0; no < cols; ++no) {
-          const std::int64_t n = n0 + no;
-          const std::int64_t* xp_col =
-              xpopc.empty() ? nullptr : xpopc.data() + n * g.q;
-          const std::int64_t acc =
-              combine_element(g, sel, raw_row + no * g.q, wmult.data(),
-                              xmult.data(), xp_col, elide_w, elide_x);
-          yrow[no] = epi.apply(static_cast<std::int32_t>(acc), m);
-        }
-      }
-      return;
-    }
-
-    // Quantized epilogue: packed output is transposed (N x M) for the next
-    // layer, so this block's bits land in packed rows [n0, n_end) at bit
-    // columns [m0, m_end). When om is not a multiple of 64 those bit spans
-    // share 64-bit words with the horizontally adjacent blocks — the seed's
-    // unsynchronized BitMatrix::set() raced there. Instead each block builds
-    // its span masks in scratch and publishes them with one atomic OR per
-    // touched word.
+    // Quantized output: bits land at columns [m0, m_end) of the packed rows
+    // this block's windows map to; spans sharing 64-bit words with
+    // horizontally adjacent blocks are merged with one atomic OR per touched
+    // word (§4.1b repack). The m-outer walk accumulates all the block's
+    // window masks and publishes them once at the end.
     const std::int64_t w_lo = m0 >> 6;
     const std::int64_t w_hi = (m_end - 1) >> 6;
     const std::int64_t nw = w_hi - w_lo + 1;
-    std::uint64_t* masks = arena.get<std::uint64_t>(nw * qbits);
-    for (std::int64_t no = 0; no < n_end - n0; ++no) {
-      const std::int64_t n = n0 + no;
-      const std::int64_t* xp_col =
-          xpopc.empty() ? nullptr : xpopc.data() + n * g.q;
-      std::fill_n(masks, nw * qbits, 0);
-      for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
-        const std::int64_t m = m0 + mo;
-        const std::int64_t acc =
-            combine_element(g, sel, raw + (mo * g.p) * g.vtn8 + no * g.q,
-                            wmult.data(), xmult.data(), xp_col, elide_w,
-                            elide_x);
-        const std::int32_t out = epi.apply(static_cast<std::int32_t>(acc), m);
-        const std::int64_t wi = (m >> 6) - w_lo;
-        const std::uint64_t bit = std::uint64_t{1} << (m & 63);
-        for (int plane = 0; plane < qbits; ++plane) {
-          if ((out >> plane) & 1) masks[plane * nw + wi] |= bit;
+    std::uint64_t* masks = nullptr;
+    if (qbits > 0) {
+      masks = arena.get<std::uint64_t>(nwin * qbits * nw);
+      std::fill_n(masks, nwin * qbits * nw, 0);
+    }
+
+    // One combined output row at a time, in four flat vectorizable passes
+    // over an L1-resident row buffer — the host analogue of the in-SHMEM
+    // plane reduction followed by the in-register epilogue:
+    //   (1) per-(s,t) specialized bit combination (case switch hoisted out
+    //       of the element loop),
+    //   (2) border correction + BN/ReLU with the channel's scale/bias held
+    //       in scalars,
+    //   (3) pooling over the win² *contiguous* columns of each window (the
+    //       window-major column order makes them adjacent),
+    //   (4) quantize + mask build, or the dense store.
+    std::int32_t* yrow = arena.get<std::int32_t>(cols);
+    const auto k32 = static_cast<std::int32_t>(g.k);
+    for (std::int64_t mo = 0; mo < m_end - m0; ++mo) {
+      const std::int64_t m = m0 + mo;
+      std::fill_n(yrow, cols, 0);
+      for (int s = 0; s < g.p && !all_x_elided; ++s) {
+        if ((elide_w >> s) & 1) continue;  // whole-plane term is zero
+        const std::int32_t* pr = raw + (mo * g.p + s) * g.vtn8;
+        std::int32_t mult[16];
+        for (int t = 0; t < g.q; ++t) {
+          mult[t] = static_cast<std::int32_t>(wmult[s] * xmult[t]);
+        }
+        // All q plane partials of a column sit adjacent in `pr`, so each
+        // pass reads contiguously; q = 1 (the BNN case) and q = 2 (the
+        // dominant w1a2 stages) get flat unrolled maps.
+        switch (sel.kind) {
+          case EmulationCase::kCaseI:
+            if (g.q == 1) {
+              for (std::int64_t no = 0; no < cols; ++no) {
+                yrow[no] += mult[0] * pr[no];
+              }
+            } else if (g.q == 2) {
+              for (std::int64_t no = 0; no < cols; ++no) {
+                yrow[no] += mult[0] * pr[no * 2] + mult[1] * pr[no * 2 + 1];
+              }
+            } else {
+              for (std::int64_t no = 0; no < cols; ++no) {
+                const std::int32_t* pp = pr + no * g.q;
+                std::int32_t acc = 0;
+                for (int t = 0; t < g.q; ++t) {
+                  if ((elide_x >> t) & 1) continue;
+                  acc += mult[t] * pp[t];
+                }
+                yrow[no] += acc;
+              }
+            }
+            break;
+          case EmulationCase::kCaseII:
+            if (g.q == 1) {
+              for (std::int64_t no = 0; no < cols; ++no) {
+                yrow[no] += mult[0] * (k32 - 2 * pr[no]);
+              }
+            } else {
+              for (std::int64_t no = 0; no < cols; ++no) {
+                const std::int32_t* pp = pr + no * g.q;
+                std::int32_t acc = 0;
+                for (int t = 0; t < g.q; ++t) {
+                  acc += mult[t] * (k32 - 2 * pp[t]);
+                }
+                yrow[no] += acc;
+              }
+            }
+            break;
+          case EmulationCase::kCaseIII: {
+            const std::int64_t* xp = xpopc + n0 * g.q;
+            if (g.q == 1) {
+              for (std::int64_t no = 0; no < cols; ++no) {
+                yrow[no] += mult[0] * (2 * pr[no] -
+                                       static_cast<std::int32_t>(xp[no]));
+              }
+            } else if (g.q == 2) {
+              for (std::int64_t no = 0; no < cols; ++no) {
+                yrow[no] +=
+                    mult[0] * (2 * pr[no * 2] -
+                               static_cast<std::int32_t>(xp[no * 2])) +
+                    mult[1] * (2 * pr[no * 2 + 1] -
+                               static_cast<std::int32_t>(xp[no * 2 + 1]));
+              }
+            } else {
+              for (std::int64_t no = 0; no < cols; ++no) {
+                const std::int32_t* pp = pr + no * g.q;
+                const std::int64_t* xpp = xp + no * g.q;
+                std::int32_t acc = 0;
+                for (int t = 0; t < g.q; ++t) {
+                  if ((elide_x >> t) & 1) continue;
+                  acc += mult[t] *
+                         (2 * pp[t] - static_cast<std::int32_t>(xpp[t]));
+                }
+                yrow[no] += acc;
+              }
+            }
+            break;
+          }
         }
       }
-      for (int plane = 0; plane < qbits; ++plane) {
-        std::uint64_t* row =
-            packed->planes[static_cast<std::size_t>(plane)].row(n) + w_lo;
-        for (std::int64_t wi = 0; wi < nw; ++wi) {
-          const std::uint64_t mask = masks[plane * nw + wi];
-          if (mask != 0) {
-            std::atomic_ref<std::uint64_t>(row[wi]).fetch_or(
-                mask, std::memory_order_relaxed);
+      if (corr_idx != nullptr) {
+        const std::int32_t* mcorr = tail.corr + m * cg->out_h() * cg->out_w();
+        for (std::int64_t no = 0; no < cols; ++no) {
+          yrow[no] -= mcorr[corr_idx[no]];
+        }
+      }
+      if (pre_active) {
+        // Identical float arithmetic to Epilogue::apply with the per-
+        // channel parameters hoisted (x*1+0 is exact, so the hoisted form
+        // also covers the BN-less ReLU).
+        const float scale =
+            epi.has_bn ? epi.bn.scale[static_cast<std::size_t>(m)] : 1.0f;
+        const float bias =
+            epi.has_bn ? epi.bn.bias[static_cast<std::size_t>(m)] : 0.0f;
+        if (epi.has_relu) {
+          for (std::int64_t no = 0; no < cols; ++no) {
+            const float v = static_cast<float>(yrow[no]) * scale + bias;
+            yrow[no] = static_cast<std::int32_t>(v < 0.0f ? 0.0f : v);
+          }
+        } else {
+          for (std::int64_t no = 0; no < cols; ++no) {
+            yrow[no] = static_cast<std::int32_t>(
+                static_cast<float>(yrow[no]) * scale + bias);
+          }
+        }
+      }
+      if (wsz > 1) {
+        if (max_pool) {
+          for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+            const std::int32_t* src = yrow + wloc * wsz;
+            std::int32_t agg = src[0];
+            for (std::int64_t e = 1; e < wsz; ++e) {
+              agg = std::max(agg, src[e]);
+            }
+            yrow[wloc] = agg;
+          }
+        } else {
+          for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+            const std::int32_t* src = yrow + wloc * wsz;
+            std::int64_t agg = 0;
+            for (std::int64_t e = 0; e < wsz; ++e) agg += src[e];
+            // The device epilogue truncates the average (see PoolSpec).
+            yrow[wloc] = static_cast<std::int32_t>(agg / wsz);
+          }
+        }
+      }
+      if (qbits > 0) {
+        // Quantization acts on the truncated int32 (as the reference does).
+        const std::int64_t wi = (m >> 6) - w_lo;
+        const std::uint64_t bit = std::uint64_t{1} << (m & 63);
+        for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+          const std::int32_t code = quant::quantize_value(
+              static_cast<float>(yrow[wloc]), epi.quant);
+          for (int plane = 0; plane < qbits; ++plane) {
+            if ((code >> plane) & 1) {
+              masks[(wloc * qbits + plane) * nw + wi] |= bit;
+            }
+          }
+        }
+      } else {
+        std::int32_t* dst =
+            y->data() + m * y_row_stride + (n0 / wsz) * y_col_stride;
+        for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+          dst[wloc * y_col_stride] = yrow[wloc];
+        }
+      }
+    }
+    if (qbits > 0) {
+      for (std::int64_t wloc = 0; wloc < nwin; ++wloc) {
+        const std::int64_t widx = n0 / wsz + wloc;
+        for (int plane = 0; plane < qbits; ++plane) {
+          std::uint64_t* row =
+              packed->planes[static_cast<std::size_t>(plane)].row(widx) +
+              w_lo;
+          for (std::int64_t wwi = 0; wwi < nw; ++wwi) {
+            const std::uint64_t mask =
+                masks[(wloc * qbits + plane) * nw + wwi];
+            if (mask != 0) {
+              std::atomic_ref<std::uint64_t>(row[wwi]).fetch_or(
+                  mask, std::memory_order_relaxed);
+            }
           }
         }
       }

@@ -38,10 +38,9 @@ struct BatchedGeometry {
   std::int64_t ktiles;    ///< 128-bit k-slabs
   std::int64_t row_words;
 
-  /// Host-microkernel execution knobs (autotuner candidates). Neither field
-  /// changes results or launch records — only where bytes move.
+  /// Host-microkernel execution knobs (autotuner candidates). They change
+  /// neither results nor launch records — only where bytes move.
   microkernel::MicroConfig micro;
-  bool combine_fast = true;  ///< allow the p=q=1 identity combine fast path
 
   /// Pool the block loops run on; nullptr = ThreadPool::global(). Execution
   /// knob only — results and launch records are identical for every pool.
@@ -103,11 +102,13 @@ struct FeatureSource {
   bool window_gather() const { return fmap != nullptr; }
 };
 
-/// Fused conv tail executed inside each block's epilogue (no separate
-/// full-output pass): Case-II border correction, BN -> ReLU, pooling over
-/// the block's (window-aligned) columns, then the quantize + bit-repack or
-/// the dense NHWC store. `corr`, when set, is the §4.2b Case-II padding
-/// amendment indexed [m * out_h*out_w + oy * out_w + ox].
+/// Conv geometry of the block epilogue. Every block runs one epilogue: the
+/// p*q plane combine, then Case-II border correction, BN -> ReLU, pooling
+/// over the block's (window-aligned) columns, and the quantize + bit-repack
+/// or the dense store. An inactive tail (the APMM case) has no correction,
+/// a pool window of 1 and a row-major dense output. `corr`, when set, is the
+/// §4.2b Case-II padding amendment indexed [m * out_h*out_w + oy * out_w +
+/// ox].
 struct ConvTail {
   const layout::ConvGeometry* g = nullptr;
   PoolSpec pool;
@@ -118,7 +119,8 @@ struct ConvTail {
 
 /// Functional computation (identical for every option set — options only
 /// change where bytes move). Writes either y (m x n int32) or, when the
-/// epilogue quantizes, packed planes (n x m).
+/// epilogue quantizes, packed planes (n x m). Quantization codes the
+/// BN/ReLU result after its truncation to int32, as the reference does.
 void run_batched_compute(const ApOperand& w, const ApOperand& x,
                          const OpSelection& sel, const BatchedGeometry& g,
                          const Epilogue& epi, Tensor<std::int32_t>* y,

@@ -26,7 +26,9 @@ namespace {
 // that no longer exists — they must invalidate, not misread.
 // v4: StageKey gained the sequence-bucket dimension (|sq) for attention
 // GEMMs of dynamic-shape plan families.
-constexpr int kSchemaVersion = 4;
+// v5: entries lost the combine fast-path column (the p=q=1 identity combine
+// fast path is gone; every block runs the one row combine).
+constexpr int kSchemaVersion = 5;
 
 constexpr const char* kMagic = "apnn-tuning-cache";
 
@@ -138,7 +140,7 @@ std::string TuningCache::serialize() const {
        << " " << c.micro.strip_words << " "
        << static_cast<int>(c.micro.staging) << " "
        << static_cast<int>(c.micro.sparse_staging) << " "
-       << (c.combine_fast ? 1 : 0) << " " << (c.measured ? 1 : 0) << " "
+       << (c.measured ? 1 : 0) << " "
        << c.measured_ms << "\n";
   }
   return os.str();
@@ -171,10 +173,10 @@ bool TuningCache::deserialize(const std::string& text, bool any_fingerprint) {
     }
     std::string key;
     TunedKernel c;
-    int staging = 0, sparse = 0, fast = 0, measured = 0;
+    int staging = 0, sparse = 0, measured = 0;
     if (!(is >> key >> c.tile.bm >> c.tile.bn >> c.tile.bk >>
           c.tile.warp_rows >> c.tile.warp_cols >> c.micro.strip_words >>
-          staging >> sparse >> fast >> measured >> c.measured_ms)) {
+          staging >> sparse >> measured >> c.measured_ms)) {
       entries_.clear();
       return false;
     }
@@ -200,7 +202,6 @@ bool TuningCache::deserialize(const std::string& text, bool any_fingerprint) {
         static_cast<microkernel::MicroConfig::Staging>(staging);
     c.micro.sparse_staging =
         static_cast<microkernel::MicroConfig::Sparse>(sparse);
-    c.combine_fast = fast != 0;
     c.measured = measured != 0;
     loaded[key] = c;
   }
@@ -255,12 +256,12 @@ Autotuner::Autotuner(const tcsim::DeviceSpec& dev, TuningCache* cache,
 }
 
 std::vector<TunedKernel> Autotuner::candidates(std::int64_t m, std::int64_t n,
-                                               std::int64_t k, int p, int q,
-                                               bool fast_eligible) const {
+                                               std::int64_t k, int p,
+                                               int q) const {
   const std::vector<TileConfig> tiles =
       ranked_tiles(m, n, k, p, q, dev_, opts_.max_tile_candidates);
   std::vector<TunedKernel> out;
-  out.reserve(tiles.size() + 6);
+  out.reserve(tiles.size() + 5);
   for (const TileConfig& t : tiles) {
     TunedKernel c;
     c.tile = t;
@@ -288,12 +289,6 @@ std::vector<TunedKernel> Autotuner::candidates(std::int64_t m, std::int64_t n,
       TunedKernel c;
       c.tile = head;
       c.micro.staging = microkernel::MicroConfig::Staging::kRowMajor;
-      out.push_back(c);
-    }
-    if (fast_eligible) {
-      TunedKernel c;
-      c.tile = head;
-      c.combine_fast = false;
       out.push_back(c);
     }
     // Sparse-staging variants of the heuristic tile: kOff strips the
@@ -372,15 +367,13 @@ TunedKernel Autotuner::tune_apmm(const ApOperand& w, std::int64_t n,
                    opts_.synth_zero_frac, rng);
   }
 
-  const bool fast_eligible = w.bits() == 1 && q_bits == 1 && epi.identity();
   return measure(
-      key, candidates(w.rows(), n, w.cols(), w.bits(), q_bits, fast_eligible),
+      key, candidates(w.rows(), n, w.cols(), w.bits(), q_bits),
       [&](const TunedKernel& c) {
         ApmmOptions o;
         o.autotune = false;
         o.tile = c.tile;
         o.micro = c.micro;
-        o.combine_fast = c.combine_fast;
         o.collect_profile = false;
         o.pool = pool_;
         if (epi.has_quant) {
@@ -415,18 +408,13 @@ TunedKernel Autotuner::tune_apconv(const ApOperand& w,
                    opts_.synth_zero_frac, rng);
   }
 
-  // The conv path always runs the fused tail, so the p=q=1 identity combine
-  // fast path never engages — no fast-off candidate.
   return measure(
-      key,
-      candidates(g.gemm_m(), g.gemm_n(), g.gemm_k(), w.bits(), q_bits,
-                 /*fast_eligible=*/false),
+      key, candidates(g.gemm_m(), g.gemm_n(), g.gemm_k(), w.bits(), q_bits),
       [&](const TunedKernel& c) {
         ApconvOptions o;
         o.autotune = false;
         o.tile = c.tile;
         o.micro = c.micro;
-        o.combine_fast = c.combine_fast;
         o.collect_profile = false;
         o.pool = pool_;
         if (epi.has_quant) {

@@ -38,7 +38,6 @@ namespace apnn::core {
 struct TunedKernel {
   TileConfig tile;
   microkernel::MicroConfig micro;
-  bool combine_fast = true;
 
   double measured_ms = 0.0;  ///< best-of-reps wall time (0 when unmeasured)
   bool measured = false;     ///< false: heuristic fallback, never timed
@@ -47,8 +46,7 @@ struct TunedKernel {
   /// determinism tests compare across compiles.
   bool same_config(const TunedKernel& o) const {
     return tile.bm == o.tile.bm && tile.bn == o.tile.bn &&
-           tile.bk == o.tile.bk && micro == o.micro &&
-           combine_fast == o.combine_fast;
+           tile.bk == o.tile.bk && micro == o.micro;
   }
 };
 
@@ -157,7 +155,7 @@ struct AutotuneOptions {
   /// Timing repetitions per candidate (best-of, after one warm-up run).
   int reps = 2;
   /// Also measure microkernel-knob variants (k-strip depth, staging,
-  /// combine fast path, sparse staging) of the heuristic tile.
+  /// sparse staging) of the heuristic tile.
   bool explore_micro = true;
   /// Share of 64-bit words zeroed (in word-aligned runs) in the synthetic
   /// feature operand before measurement, so sparse-vs-dense candidates are
@@ -209,11 +207,9 @@ class Autotuner {
 
  private:
   /// The pruned candidate list: ranked tiles x (default micro), plus the
-  /// micro variants of the heuristic tile. `fast_eligible` gates the
-  /// combine-fast-off candidate (it only exists for p=q=1 identity).
+  /// micro variants of the heuristic tile.
   std::vector<TunedKernel> candidates(std::int64_t m, std::int64_t n,
-                                      std::int64_t k, int p, int q,
-                                      bool fast_eligible) const;
+                                      std::int64_t k, int p, int q) const;
 
   template <typename RunFn>
   TunedKernel measure(const StageKey& key, std::vector<TunedKernel> cands,

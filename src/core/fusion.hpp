@@ -31,8 +31,8 @@ struct Epilogue {
 
   bool has_relu = false;
 
-  /// Quantize the (float) result to `quant.bits` unsigned codes; the kernel
-  /// then emits bit-packed planes instead of int32 (minimal-traffic
+  /// Quantize the truncated int32 result to `quant.bits` unsigned codes; the
+  /// kernel then emits bit-packed planes instead of int32 (minimal-traffic
   /// dataflow, §5.1).
   bool has_quant = false;
   quant::QuantParams quant;
@@ -48,12 +48,13 @@ struct Epilogue {
     return ops;
   }
 
-  /// Applies the epilogue to one 32-bit accumulator of output channel `ch`.
-  /// Returns the (possibly quantized) integer result. An identity epilogue
-  /// is exact — no float round trip — so it agrees with the integer fast
-  /// paths for accumulators beyond float's 2^24 integer range.
+  /// Applies BN -> ReLU to one 32-bit accumulator of output channel `ch`
+  /// and truncates the result back to int32 — the value a quantizing
+  /// epilogue then codes. Without BN or ReLU the accumulator passes through
+  /// exactly (no float round trip), so it agrees with the integer GEMM for
+  /// accumulators beyond float's 2^24 integer range.
   std::int32_t apply(std::int32_t acc, std::int64_t ch) const {
-    if (identity()) return acc;
+    if (!has_bn && !has_relu) return acc;
     float v = static_cast<float>(acc);
     if (has_bn) {
       APNN_DCHECK(ch < static_cast<std::int64_t>(bn.scale.size()));
@@ -61,12 +62,8 @@ struct Epilogue {
           bn.bias[static_cast<std::size_t>(ch)];
     }
     if (has_relu && v < 0.f) v = 0.f;
-    if (has_quant) return quant::quantize_value(v, quant);
     return static_cast<std::int32_t>(v);
   }
-
-  /// Bit width of the emitted values: quant.bits when quantizing, else 32.
-  int output_bits() const { return has_quant ? quant.bits : 32; }
 };
 
 }  // namespace apnn::core

@@ -194,17 +194,23 @@ Tensor<std::int32_t> ApnnNetwork::quantize_input(
 
 namespace {
 
-/// Shared walk used by forward_reference() and calibrate(). When
-/// `calibrating` is set, quantization parameters are (re)derived from the
-/// observed pre-quantization value range at each quantize point.
+/// Shared walk used by forward_reference() and calibrate(). It reads the
+/// network's stages in place; when calibrating, quantization parameters are
+/// (re)derived from the observed pre-quantization value range at each
+/// quantize point and written through the calibration targets.
 struct ReferenceWalker {
   const ModelSpec& spec;
   const std::vector<ActShape>& shapes;
-  std::vector<ApnnStage>& stages;  // mutated when calibrating
+  const std::vector<ApnnStage>& stages;
+  const std::map<std::size_t, quant::QuantParams>& standalone_quant;
   int abits;
-  bool calibrating;
-  std::map<std::size_t, quant::QuantParams>& standalone_quant;
-  bool binary = false;  ///< ±1 networks: decode codes to -1/+1 post-quant
+  bool binary;  ///< ±1 networks: decode codes to -1/+1 post-quant
+  /// Calibration targets, aliasing `stages` and `standalone_quant`; both
+  /// null for the read-only forward_reference() walk.
+  std::vector<ApnnStage>* calib_stages = nullptr;
+  std::map<std::size_t, quant::QuantParams>* calib_quant = nullptr;
+
+  bool calibrating() const { return calib_stages != nullptr; }
 
   quant::QuantParams derive_params(const Tensor<std::int32_t>& x) const {
     std::vector<float> vals(static_cast<std::size_t>(x.numel()));
@@ -234,24 +240,23 @@ struct ReferenceWalker {
 
       switch (l.kind) {
         case LayerKind::kConv: {
-          ApnnStage& st = stages[stage_idx_at.at(li)];
+          const std::size_t si = stage_idx_at.at(li);
+          const ApnnStage& st = stages[si];
           const layout::ConvGeometry g =
               conv_geometry(spec, shapes, li, in.dim(0));
           const Tensor<std::int32_t> w_ohwi = st.weights_logical.reshaped(
               {g.out_c, g.kernel, g.kernel, g.in_c});
           Tensor<std::int32_t> y = core::conv2d_reference(in, w_ohwi, g);
-          // BN / ReLU (identical float arithmetic to Epilogue::apply).
-          if (st.epilogue.has_bn || st.epilogue.has_relu) {
-            Epilogue pre = st.epilogue;
-            pre.has_quant = false;
-            for (std::int64_t i = 0; i < y.numel(); ++i) {
-              y[i] = pre.apply(y[i], i % g.out_c);
-            }
+          // BN / ReLU, truncated to int32 (Epilogue::apply).
+          for (std::int64_t i = 0; i < y.numel(); ++i) {
+            y[i] = st.epilogue.apply(y[i], i % g.out_c);
           }
           if (st.pool.active()) y = pool_dense(y, st.pool);
           Tensor<std::int32_t> out = y;
           if (st.epilogue.has_quant) {
-            if (calibrating) st.epilogue.quant = derive_params(y);
+            if (calibrating()) {
+              (*calib_stages)[si].epilogue.quant = derive_params(y);
+            }
             for (std::int64_t i = 0; i < y.numel(); ++i) {
               const std::int32_t code = quant::quantize_value(
                   static_cast<float>(y[i]), st.epilogue.quant);
@@ -266,7 +271,8 @@ struct ReferenceWalker {
           break;
         }
         case LayerKind::kLinear: {
-          ApnnStage& st = stages[stage_idx_at.at(li)];
+          const std::size_t si = stage_idx_at.at(li);
+          const ApnnStage& st = stages[si];
           const std::int64_t batch = in.dim(0);
           const Tensor<std::int32_t> xf =
               in.reshaped({batch, in.numel() / batch});
@@ -282,18 +288,16 @@ struct ReferenceWalker {
               y(b, o) = static_cast<std::int32_t>(acc);
             }
           }
-          if (st.epilogue.has_bn || st.epilogue.has_relu) {
-            Epilogue pre = st.epilogue;
-            pre.has_quant = false;
-            for (std::int64_t b = 0; b < batch; ++b) {
-              for (std::int64_t o = 0; o < out_f; ++o) {
-                y(b, o) = pre.apply(y(b, o), o);
-              }
+          for (std::int64_t b = 0; b < batch; ++b) {
+            for (std::int64_t o = 0; o < out_f; ++o) {
+              y(b, o) = st.epilogue.apply(y(b, o), o);
             }
           }
           Tensor<std::int32_t> out = y;
           if (st.epilogue.has_quant) {
-            if (calibrating) st.epilogue.quant = derive_params(y);
+            if (calibrating()) {
+              (*calib_stages)[si].epilogue.quant = derive_params(y);
+            }
             for (std::int64_t i = 0; i < y.numel(); ++i) {
               const std::int32_t code = quant::quantize_value(
                   static_cast<float>(y[i]), st.epilogue.quant);
@@ -331,7 +335,7 @@ struct ReferenceWalker {
           vals[li] = pool_dense(in, l.pool);
           break;
         case LayerKind::kQuantize: {
-          if (calibrating) standalone_quant[li] = derive_params(in);
+          if (calibrating()) (*calib_quant)[li] = derive_params(in);
           const auto it = standalone_quant.find(li);
           APNN_CHECK(it != standalone_quant.end())
               << "standalone quantize layer " << l.name << " not calibrated";
@@ -356,7 +360,8 @@ struct ReferenceWalker {
           vals[li] = in;  // logits are returned raw (softmax is monotonic)
           break;
         case LayerKind::kAttention: {
-          ApnnStage& st = stages[stage_idx_at.at(li)];
+          const std::size_t si = stage_idx_at.at(li);
+          const ApnnStage& st = stages[si];
           const std::int64_t batch = in.dim(0);
           const std::int64_t seq = in.dim(1);  // {B, seq, 1, d_model}
           const std::int64_t d_model = in.dim(3);
@@ -368,8 +373,11 @@ struct ReferenceWalker {
           const Tensor<std::int32_t> xf = in.reshaped({tokens, d_model});
 
           // ReLU + quantize to abits codes, identical to the apmm epilogue.
+          // `calib` is the calibration target aliasing `qp` (null when
+          // only reading).
           auto project = [&](const Tensor<std::int32_t>& w,
-                             quant::QuantParams& qp) {
+                             const quant::QuantParams& qp,
+                             quant::QuantParams* calib) {
             Tensor<std::int32_t> y({tokens, proj});
             for (std::int64_t t = 0; t < tokens; ++t) {
               for (std::int64_t o = 0; o < proj; ++o) {
@@ -381,18 +389,22 @@ struct ReferenceWalker {
                     0, static_cast<std::int32_t>(acc));
               }
             }
-            if (calibrating) qp = derive_params(y);
+            if (calib != nullptr) *calib = derive_params(y);
             for (std::int64_t i = 0; i < y.numel(); ++i) {
               y[i] = quant::quantize_value(static_cast<float>(y[i]), qp);
             }
             return y;
           };
+          ApnnStage* cal = calibrating() ? &(*calib_stages)[si] : nullptr;
           const Tensor<std::int32_t> q =
-              project(st.weights_logical, st.attn_q_quant);
+              project(st.weights_logical, st.attn_q_quant,
+                      cal != nullptr ? &cal->attn_q_quant : nullptr);
           const Tensor<std::int32_t> k =
-              project(st.attn_wk_logical, st.attn_k_quant);
+              project(st.attn_wk_logical, st.attn_k_quant,
+                      cal != nullptr ? &cal->attn_k_quant : nullptr);
           const Tensor<std::int32_t> v =
-              project(st.attn_wv_logical, st.attn_v_quant);
+              project(st.attn_wv_logical, st.attn_v_quant,
+                      cal != nullptr ? &cal->attn_v_quant : nullptr);
 
           // Per (sample, head): scores, the shared integer-softmax tail,
           // and the attn-weighted value sum.
@@ -428,7 +440,7 @@ struct ReferenceWalker {
               }
             }
           }
-          if (calibrating) st.attn_ctx_quant = derive_params(ctx);
+          if (cal != nullptr) cal->attn_ctx_quant = derive_params(ctx);
           for (std::int64_t i = 0; i < ctx.numel(); ++i) {
             ctx[i] = quant::quantize_value(static_cast<float>(ctx[i]),
                                            st.attn_ctx_quant);
@@ -447,7 +459,7 @@ struct ReferenceWalker {
                   std::max<std::int32_t>(0, static_cast<std::int32_t>(acc));
             }
           }
-          if (calibrating) st.epilogue.quant = derive_params(out);
+          if (cal != nullptr) cal->epilogue.quant = derive_params(out);
           for (std::int64_t i = 0; i < out.numel(); ++i) {
             out[i] = quant::quantize_value(static_cast<float>(out[i]),
                                            st.epilogue.quant);
@@ -466,8 +478,8 @@ struct ReferenceWalker {
 
 void ApnnNetwork::calibrate(const Tensor<std::int32_t>& input_u8) {
   standalone_quant_.clear();
-  ReferenceWalker walker{spec_, shapes_, stages_, abits_, true,
-                         standalone_quant_, binary_};
+  ReferenceWalker walker{spec_,  shapes_, stages_,  standalone_quant_,
+                         abits_, binary_, &stages_, &standalone_quant_};
   walker.run(quantize_input(input_u8));
   calibrated_ = true;
 }
@@ -475,10 +487,8 @@ void ApnnNetwork::calibrate(const Tensor<std::int32_t>& input_u8) {
 Tensor<std::int32_t> ApnnNetwork::forward_reference(
     const Tensor<std::int32_t>& input_u8) const {
   APNN_CHECK(calibrated_) << "call calibrate() first";
-  auto stages_copy = stages_;  // run() mutates only when calibrating
-  auto quant_copy = standalone_quant_;
-  ReferenceWalker walker{spec_, shapes_, stages_copy, abits_, false,
-                         quant_copy, binary_};
+  ReferenceWalker walker{spec_, shapes_, stages_, standalone_quant_, abits_,
+                         binary_};
   return walker.run(quantize_input(input_u8));
 }
 

@@ -1288,7 +1288,6 @@ void InferenceSession::run_plan(Plan& plan,
         o.autotune = false;
         o.tile = rb.kern[si].tile;
         o.micro = rb.kern[si].micro;
-        o.combine_fast = rb.kern[si].combine_fast;
         o.collect_profile = prof != nullptr;
         o.pool = opts_.pool;
         core::microkernel::SparsityStats sstats;
@@ -1325,7 +1324,6 @@ void InferenceSession::run_plan(Plan& plan,
         o.autotune = false;
         o.tile = rb.kern[si].tile;
         o.micro = rb.kern[si].micro;
-        o.combine_fast = rb.kern[si].combine_fast;
         o.collect_profile = prof != nullptr;
         o.pool = opts_.pool;
         core::microkernel::SparsityStats sstats;

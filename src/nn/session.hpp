@@ -8,9 +8,8 @@
 //  * buffer-lifetime analysis — every intermediate value gets a slot in a
 //    reusable parallel::ActivationSlab (liveness-based slot reuse), and the
 //    apconv/apmm kernels write straight into the slab (y_out / packed_out),
-//    so steady-state forward passes grow no slab and perform a flat
-//    per-run allocation count (a few small per-kernel vectors — not buffer
-//    churn, and the same at every pool width);
+//    so steady-state forward passes grow no slab and make no heap
+//    allocation at all, at every pool width;
 //  * pre-resolved glue ops — residual add, standalone ReLU / pool /
 //    quantize, packing and GEMM-operand assembly run as word-granular
 //    blocked kernels farmed over the thread pool, operating directly on the

@@ -428,8 +428,6 @@ TEST(ApconvTraffic, FusionRemovesKernelLaunchesAndGlobalRoundTrips) {
   pool.kind = PoolSpec::Kind::kMax;
   pool.size = 2;
   ApconvOptions fused, unfused;
-  fused.mode = ExecMode::kProfileOnly;
-  unfused.mode = ExecMode::kProfileOnly;
   unfused.fuse_epilogue = false;
   const EncodingConfig enc{Encoding::kSignedPM1, Encoding::kUnsigned01};
   const auto pf = apconv_profile(g, 1, 2, enc, dev(), fused, epi, pool);
@@ -442,17 +440,17 @@ TEST(ApconvTraffic, FusionRemovesKernelLaunchesAndGlobalRoundTrips) {
   EXPECT_LT(cm.estimate(pf).total_us, cm.estimate(pu).total_us);
 }
 
-TEST(ApconvTraffic, ProfileOnlyMatchesFullExecution) {
+TEST(ApconvTraffic, DimensionOnlyProfileMatchesFullExecution) {
   const layout::ConvGeometry g = geom(1, 16, 8, 12, 3, 1, 1);
   const ConvSetup s = make_setup(g, Encoding::kSignedPM1, 1,
                                  Encoding::kUnsigned01, 2, 105);
-  ApconvOptions full, prof;
-  prof.mode = ExecMode::kProfileOnly;
-  const auto rf = apconv(s.w, s.x, Encoding::kUnsigned01, g, dev(), full);
-  const auto rp = apconv(s.w, s.x, Encoding::kUnsigned01, g, dev(), prof);
-  EXPECT_EQ(rp.y.numel(), 0);
+  const auto rf = apconv(s.w, s.x, Encoding::kUnsigned01, g, dev());
+  const auto rp =
+      apconv_profile(g, 1, 2, {Encoding::kSignedPM1, Encoding::kUnsigned01},
+                     dev());
+  ASSERT_EQ(rf.profile.kernels.size(), rp.kernels.size());
   const auto cf = rf.profile.total_counters();
-  const auto cp = rp.profile.total_counters();
+  const auto cp = rp.total_counters();
   EXPECT_EQ(cf.total_global_bytes(), cp.total_global_bytes());
   EXPECT_EQ(cf.bmma_b1, cp.bmma_b1);
 }
@@ -461,13 +459,11 @@ TEST(ApconvTraffic, BitOverheadIsSmallFraction) {
   // Fig 11 property: decomposition+combination ALU work is tiny next to the
   // tensor-core op count.
   const layout::ConvGeometry g = geom(1, 256, 16, 256, 3, 1, 1);
-  ApconvOptions opts;
-  opts.mode = ExecMode::kProfileOnly;
   Epilogue epi;
   epi.has_quant = true;
   epi.quant.bits = 2;
   const EncodingConfig enc{Encoding::kSignedPM1, Encoding::kUnsigned01};
-  const auto prof = apconv_profile(g, 1, 2, enc, dev(), opts, epi);
+  const auto prof = apconv_profile(g, 1, 2, enc, dev(), {}, epi);
   const auto c = prof.total_counters();
   EXPECT_LT(static_cast<double>(c.total_alu_ops()),
             0.05 * static_cast<double>(c.ops_b1()) / 2);

@@ -146,19 +146,18 @@ TEST(ApmmOptions, NonSemanticAwareSpillsPartialsToGlobal) {
             rs.profile.total_counters().global_store_bytes);
 }
 
-TEST(ApmmOptions, ProfileOnlyMatchesFullCounters) {
+TEST(ApmmOptions, DimensionOnlyProfileMatchesFullCounters) {
   const Operands o = sample_operands(5, 70, 140, 384, 2, 3);
-  ApmmOptions full, prof;
-  prof.mode = ExecMode::kProfileOnly;
+  ApmmOptions opts;
   for (bool sem : {true, false}) {
-    full.semantic_aware = sem;
-    prof.semantic_aware = sem;
-    const ApmmResult rf = apmm(o.w, o.x, dev(), full);
-    const ApmmResult rp = apmm(o.w, o.x, dev(), prof);
-    EXPECT_EQ(rp.y.numel(), 0);
-    ASSERT_EQ(rf.profile.kernels.size(), rp.profile.kernels.size());
+    opts.semantic_aware = sem;
+    const ApmmResult rf = apmm(o.w, o.x, dev(), opts);
+    const tcsim::SequenceProfile rp =
+        apmm_profile(o.w.rows(), o.x.rows(), o.w.cols(), o.w.bits(),
+                     o.x.bits(), {o.w.encoding, o.x.encoding}, dev(), opts);
+    ASSERT_EQ(rf.profile.kernels.size(), rp.kernels.size());
     const auto cf = rf.profile.total_counters();
-    const auto cp = rp.profile.total_counters();
+    const auto cp = rp.total_counters();
     EXPECT_EQ(cf.total_global_bytes(), cp.total_global_bytes());
     EXPECT_EQ(cf.total_shared_bytes(), cp.total_shared_bytes());
     EXPECT_EQ(cf.bmma_b1, cp.bmma_b1);

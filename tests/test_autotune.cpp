@@ -51,7 +51,6 @@ TunedKernel sample_kernel() {
   c.micro.strip_words = 16;
   c.micro.staging = core::microkernel::MicroConfig::Staging::kRowMajor;
   c.micro.sparse_staging = core::microkernel::MicroConfig::Sparse::kOn;
-  c.combine_fast = false;
   c.measured_ms = 1.25;
   c.measured = true;
   return c;
@@ -184,10 +183,10 @@ TEST(TuningCache, MalformedInputRejected) {
   TuningCache cache;
   EXPECT_FALSE(cache.deserialize("not-a-cache 1\nfingerprint x\n"));
   EXPECT_FALSE(cache.deserialize(""));
-  // Wrong schema version (the current schema is 4: keys grew the
-  // sequence-bucket dimension).
+  // Wrong schema version (the current schema is 5: entries lost the
+  // combine fast-path column).
   std::string text = TuningCache().serialize();
-  const auto pos = text.find(" 4\n");
+  const auto pos = text.find(" 5\n");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 3, " 999\n");
   EXPECT_FALSE(cache.deserialize(text));
@@ -217,10 +216,10 @@ TEST(TuningCache, SparseStagingRoundTrips) {
   EXPECT_TRUE(got.same_config(off));
 
   // An out-of-range sparse_staging value is rejected as corruption, not
-  // clamped: entry fields are "… strip staging sparse fast measured ms" and
-  // both sample entries end "<sparse> 0 1 1.25".
+  // clamped: entry fields are "… strip staging sparse measured ms" and
+  // both sample entries end "<sparse> 1 1.25".
   std::string text = cache.serialize();
-  const auto tail = text.find(" 0 1 1.25");
+  const auto tail = text.find(" 1 1.25");
   ASSERT_NE(tail, std::string::npos);
   text.replace(tail - 1, 1, "9");
   TuningCache corrupt;
@@ -242,11 +241,24 @@ TEST(TuningCache, V2SchemaWholesaleInvalidated) {
       "\n"
       "entry mm|m128|n8|k512|p1|q2|caseIII|bn0|relu1|qb2|pw1 "
       "32 128 128 8 4 16 1 0 1 1.25\n";
-  TuningCache stale;
-  EXPECT_FALSE(stale.deserialize(v2));
-  EXPECT_EQ(stale.size(), 0u);
-  // Even inspection mode (any fingerprint) refuses a foreign schema.
-  EXPECT_FALSE(stale.deserialize(v2, /*any_fingerprint=*/true));
+  // A v4 cache still carries the combine fast-path column the v5 schema
+  // dropped; its entries would misread, so it is dropped whole too.
+  const std::string v4 =
+      "apnn-tuning-cache 4\n"
+      "fingerprint v4:" +
+      std::string(core::microkernel::kSimdFlavor) + ":t" +
+      std::to_string(width) +
+      "\n"
+      "entry mm|m128|n8|k512|p1|q2|caseIII|bn0|relu1|qb2|pw1|sq0 "
+      "32 128 128 8 4 16 1 1 0 1 1.25\n";
+  for (const std::string& text : {v2, v4}) {
+    TuningCache stale;
+    EXPECT_FALSE(stale.deserialize(text));
+    EXPECT_EQ(stale.size(), 0u);
+    // Even inspection mode (any fingerprint) refuses a foreign schema.
+    EXPECT_FALSE(stale.deserialize(text, /*any_fingerprint=*/true));
+    EXPECT_EQ(stale.size(), 0u);
+  }
 }
 
 // --- candidate pruner -------------------------------------------------------

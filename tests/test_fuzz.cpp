@@ -280,12 +280,8 @@ TEST_P(ConvFuzzSeed, FusedConvMatchesIm2colAndDensePipelines) {
   Tensor<std::int32_t> ref = core::conv2d_reference(x_logical, w_ohwi, g);
   ASSERT_EQ(conv_via_im2col_dense(x_logical, w_ohwi, g), ref)
       << "im2col lowering diverged, seed " << GetParam();
-  if (epi.has_bn || epi.has_relu) {
-    core::Epilogue pre = epi;
-    pre.has_quant = false;
-    for (std::int64_t i = 0; i < ref.numel(); ++i) {
-      ref[i] = pre.apply(ref[i], i % g.out_c);
-    }
+  for (std::int64_t i = 0; i < ref.numel(); ++i) {
+    ref[i] = epi.apply(ref[i], i % g.out_c);
   }
   std::int64_t ph = oh, pw = ow;
   if (pool.active()) {
@@ -528,12 +524,10 @@ TEST_P(SparsityFuzzSeed, ReluFedSecondConvLayerMatchesAcrossModes) {
 
   // Dense reference for layer 1's quantized codes.
   Tensor<std::int32_t> ref = core::conv2d_reference(x_logical, w1, g);
-  core::Epilogue pre = epi;
-  pre.has_quant = false;
   Tensor<std::int32_t> ref_codes = ref;
   for (std::int64_t i = 0; i < ref.numel(); ++i) {
     ref_codes[i] = quant::quantize_value(
-        static_cast<float>(pre.apply(ref[i], i % g.out_c)), epi.quant);
+        static_cast<float>(epi.apply(ref[i], i % g.out_c)), epi.quant);
   }
   ASSERT_EQ(layout::unpack_activations(r1.packed), ref_codes)
       << "layer-1 seed " << GetParam();

@@ -303,10 +303,10 @@ int cmd_model(const Args& a) {
 
 std::string kernel_desc(const core::TunedKernel& k) {
   std::string s = strf(
-      "bm=%-3d bn=%-3d strip=%-2lld staging=%d sparse=%d fast=%d", k.tile.bm,
+      "bm=%-3d bn=%-3d strip=%-2lld staging=%d sparse=%d", k.tile.bm,
       k.tile.bn, static_cast<long long>(k.micro.effective_strip()),
       static_cast<int>(k.micro.staging),
-      static_cast<int>(k.micro.sparse_staging), k.combine_fast ? 1 : 0);
+      static_cast<int>(k.micro.sparse_staging));
   if (k.measured) s += strf("  %8.3f ms", k.measured_ms);
   return s;
 }
